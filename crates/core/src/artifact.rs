@@ -49,6 +49,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use quantmcu_nn::exec::{NodeQuantState, QuantState};
+use quantmcu_nn::import::fnv1a64;
 use quantmcu_nn::{Graph, GraphSpec, NodeSpec, OpSpec, Source};
 use quantmcu_patch::{Branch, PatchPlan};
 use quantmcu_quant::vdpc::PatchClass;
@@ -177,16 +178,6 @@ impl std::error::Error for ArtifactError {}
 // ---------------------------------------------------------------------------
 // Checksum / fingerprint
 // ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit hash — the format's integrity checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The fingerprint a `.qplan` artifact binds to: the FNV-1a/64 hash of
 /// the model's canonical `.qmcu` serialization

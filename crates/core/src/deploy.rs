@@ -3,8 +3,9 @@
 
 use std::borrow::Borrow;
 use std::sync::Arc;
+use std::thread;
 
-use quantmcu_nn::exec::{batch, CompiledGraph, ExecState, QuantState};
+use quantmcu_nn::exec::{CompiledGraph, ExecState, QuantState, ScopedPool};
 use quantmcu_nn::{Graph, GraphError};
 use quantmcu_patch::{PatchExecutor, PatchOutput, PatchState};
 use quantmcu_tensor::{QuantParams, Tensor};
@@ -176,23 +177,28 @@ impl Deployment {
         Session::new(self)
     }
 
-    /// Serves a batch over `workers` **scoped** threads, each with its
-    /// own fresh [`Session`] against this shared deployment, returning
-    /// outputs in input order. Results are **bit-identical for every
-    /// worker count**; `workers = 1` is exactly the serial session loop.
+    /// Serves a batch over a [`ScopedPool`] of `workers` threads (at most
+    /// one per input), each with its own fresh [`Session`] against this
+    /// shared deployment, returning outputs in input order. Results are
+    /// **bit-identical for every worker count**; `workers <= 1` spawns
+    /// nothing and is exactly the serial session loop.
     /// For long-lived traffic that should keep warm sessions, a bounded
     /// queue and micro-batching between calls, wrap the deployment in a
     /// persistent [`Server`](crate::Server) instead.
     ///
     /// # Errors
     ///
-    /// Returns the first failing input's error.
+    /// Returns the lowest-indexed failing input's error, for every worker
+    /// count.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics (propagated).
+    /// Panics if a worker thread panics.
     pub fn run_batch(&self, inputs: &[Tensor], workers: usize) -> Result<Vec<Tensor>, Error> {
-        batch::par_map_states(inputs, workers, || self.session(), Session::run)
+        thread::scope(|scope| {
+            let pool = ScopedPool::spawned(scope, workers.min(inputs.len()), |_| self.session());
+            pool.map(inputs.iter().collect(), |session, input| session.run(input))
+        })
     }
 }
 
@@ -270,6 +276,7 @@ mod tests {
     use crate::{Engine, Planner, QuantMcuConfig, SramBudget};
     use quantmcu_nn::exec::FloatExecutor;
     use quantmcu_nn::{init, GraphSpecBuilder};
+    use quantmcu_patch::PatchError;
     use quantmcu_tensor::Shape;
 
     fn graph() -> Graph {
@@ -332,6 +339,27 @@ mod tests {
         for workers in [1, 2, 3, 8] {
             let parallel = dep.run_batch(&test, workers).unwrap();
             assert_eq!(serial, parallel, "worker count {workers} changed outputs");
+        }
+    }
+
+    #[test]
+    fn parallel_batches_report_the_lowest_indexed_error() {
+        // Two differently mis-shaped inputs: whichever worker finishes
+        // first, the batch must fail with index 2's error, not index 5's.
+        let engine = Engine::builder(graph()).sram_budget(SramBudget::kib(256)).build();
+        let dep = engine.deploy(engine.plan(inputs(4)).unwrap()).unwrap();
+        let first_bad = Shape::hwc(15, 16, 3);
+        let mut test = inputs(8);
+        test[2] = Tensor::zeros(first_bad);
+        test[5] = Tensor::zeros(Shape::hwc(16, 12, 3));
+        for workers in [1, 2, 3, 8] {
+            match dep.run_batch(&test, workers) {
+                Err(Error::Patch(PatchError::Graph(GraphError::InputShapeMismatch {
+                    actual,
+                    ..
+                }))) => assert_eq!(actual, first_bad, "workers {workers}"),
+                other => panic!("workers {workers}: expected index 2's shape error, got {other:?}"),
+            }
         }
     }
 

@@ -5,11 +5,12 @@
 //! The rest of the serving surface is *caller-paced*: a
 //! [`Session`](crate::Session) serves one thread, and
 //! [`Deployment::run_batch`](crate::Deployment::run_batch) fans one
-//! batch out over scoped threads that die with the call. A server flips
-//! the model to *queue-paced*: `workers` threads are spawned once, each
-//! with its own warm [`Session`](crate::Session) (scratch allocated on
-//! the first request, reused forever), and independent producers feed
-//! them through a bounded queue.
+//! batch out over a [`ScopedPool`](quantmcu_nn::exec::ScopedPool) whose
+//! threads die with the call. A server flips the model to *queue-paced*:
+//! `workers` threads are spawned once, each with its own warm
+//! [`Session`](crate::Session) (scratch allocated on the first request,
+//! reused forever), and independent producers feed them through a
+//! bounded queue.
 //!
 //! * **Backpressure, caller's choice.** [`Server::submit`] blocks while
 //!   the queue is full; [`Server::try_submit`] returns
@@ -34,9 +35,10 @@
 //!   `Instant`s, so snapshots are comparable across hosts.
 //!
 //! Under the hood the server is a thin policy layer over
-//! [`quantmcu_nn::exec::WorkerPool`], the reusable persistent-pool
-//! primitive (the pooled twin of the scoped
-//! [`batch::par_map_states`](quantmcu_nn::exec::batch::par_map_states)).
+//! [`quantmcu_nn::exec::WorkerPool`], the persistent half of the
+//! workspace's two parallel primitives: it only submits jobs
+//! ([`WorkerPool::submit`] / [`WorkerPool::try_submit`]) and closes the
+//! pool.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -7,14 +7,12 @@
 //! end-to-end) and requantization tables. [`ExecState`] is the
 //! cheap per-worker half: the scratch arenas and feature-map slots one
 //! in-flight inference needs. One compiled graph plus N states executes
-//! on N threads at once; the [`batch`] module provides the scoped-thread
-//! drivers ([`batch::run_batch`], [`batch::run_batch_quant`],
-//! [`batch::stream_chunks`]) with deterministic, input-ordered results,
-//! and the [`pool`] module provides [`WorkerPool`] — the persistent
-//! counterpart (long-lived workers, bounded micro-batching queue) that
-//! serving runtimes keep warm across calls — plus [`ScopedPool`], the
-//! scope-bound middle ground (one spawn/join round, many ordered maps
-//! over borrowed data) that the planner drives all its fan-outs through.
+//! on N threads at once. The [`pool`] module holds the workspace's only
+//! two parallel primitives: [`ScopedPool`], scoped fan-out over borrowed
+//! data (one spawn/join round, many ordered maps, results in item order —
+//! the planner and one-shot batches run on it, one state per worker), and
+//! [`WorkerPool`], the persistent pool with a bounded micro-batching
+//! queue that serving runtimes keep warm across calls.
 //!
 //! All execution dispatches into the shared op-kernel layer in
 //! [`crate::kernels`] — one cache-blocked, register-tiled loop nest per
@@ -44,7 +42,6 @@
 //!   Mixed-precision deployment plans are evaluated by giving each
 //!   feature map its own bitwidth.
 
-pub mod batch;
 mod compile;
 mod float;
 pub mod pool;

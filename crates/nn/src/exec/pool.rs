@@ -1,49 +1,41 @@
-//! A persistent worker pool: long-lived threads, one caller-defined
-//! state each, fed by a bounded job queue with dynamic micro-batching.
+//! The workspace's two parallel-execution primitives — the only library
+//! code in the workspace that spawns threads:
 //!
-//! The scoped drivers in [`batch`](crate::exec::batch) spawn fresh
-//! threads per call, which is right for one-shot batch fan-out but wrong
-//! for a serving runtime that must keep warm per-worker scratch (arenas,
-//! sessions) alive across requests. [`WorkerPool`] is the persistent
-//! counterpart: `workers` threads are spawned once, each builds its own
-//! state *inside* the thread (so the state never crosses threads and
-//! needs no `Send`), and jobs — boxed `FnOnce(&mut S)` closures — arrive
-//! through a bounded [`std::sync::mpsc::sync_channel`]. Submission
-//! offers both flavors of backpressure: [`WorkerPool::submit`] blocks
-//! while the queue is full, [`WorkerPool::try_submit`] returns
-//! [`PoolError::Full`] instead.
+//! * [`ScopedPool`] — **scoped, borrowing fan-out.** Worker threads live
+//!   inside a caller-provided [`std::thread::scope`], so jobs may borrow
+//!   from the enclosing stack frame (no `'static` bound, no `unsafe`).
+//!   One spawn/join round serves any number of ordered
+//!   [`map`](ScopedPool::map) calls with results **in item order**, and
+//!   `workers <= 1` spawns nothing: `map` is then exactly the serial loop.
+//!   This is the planner's shape — a dozen heterogeneous fan-outs over
+//!   borrowed calibration data within one `plan()` call — and the shape
+//!   of one-shot batch inference over a shared compiled graph or
+//!   deployment (one [`ExecState`](crate::exec::ExecState) or session per
+//!   worker).
+//! * [`WorkerPool`] — **persistent serving.** `workers` long-lived
+//!   threads are spawned once, each builds its own state *inside* the
+//!   thread (so the state never crosses threads and needs no `Send`), and
+//!   jobs — boxed `FnOnce(&mut S)` closures — arrive through a bounded
+//!   [`std::sync::mpsc::sync_channel`]. Warm per-worker scratch (arenas,
+//!   sessions) stays alive across requests. Submission offers both
+//!   flavors of backpressure: [`WorkerPool::submit`] blocks while the
+//!   queue is full, [`WorkerPool::try_submit`] returns
+//!   [`PoolError::Full`] instead.
 //!
-//! **Dynamic micro-batching:** a woken worker drains up to `max_batch`
-//! queued jobs in one queue-lock acquisition and runs them back to back,
-//! so under load the per-job synchronization cost amortizes across the
-//! batch while an idle pool still serves a lone job immediately. The
-//! drain is additionally capped at the worker's fair share of the
-//! current queue depth, so a burst submitted to an idle pool fans out
-//! across all workers instead of serializing on the first one to wake
-//! (batch size adapts to queue depth — hence *dynamic*).
-//!
-//! [`WorkerPool::map`] is the pooled twin of
-//! [`batch::par_map_states`](crate::exec::batch::par_map_states): the
-//! same ordered per-worker-state parallel map contract, but running on
-//! the pool's persistent workers instead of scoped threads. The scoped
-//! path remains the zero-setup fallback (and is still exactly the serial
-//! loop at `workers = 1`); the pooled path wins when the same states are
-//! reused across many calls.
+//! **Dynamic micro-batching:** a woken [`WorkerPool`] worker drains up to
+//! `max_batch` queued jobs in one queue-lock acquisition and runs them
+//! back to back, so under load the per-job synchronization cost
+//! amortizes across the batch while an idle pool still serves a lone job
+//! immediately. The drain is additionally capped at the worker's fair
+//! share of the current queue depth, so a burst submitted to an idle pool
+//! fans out across all workers instead of serializing on the first one to
+//! wake (batch size adapts to queue depth — hence *dynamic*).
 //!
 //! Shutdown is graceful everywhere: [`WorkerPool::close`] (and `Drop`)
 //! stop accepting new jobs, let the workers drain everything already
 //! queued, then join them — no job accepted into the queue is ever
-//! dropped.
-//!
-//! [`ScopedPool`] sits between the two worlds: like [`WorkerPool`] it
-//! keeps one set of worker threads and per-worker states alive across
-//! *many* ordered-map calls (one spawn/join round total, not one per
-//! stage), but its workers live inside a caller-provided
-//! [`std::thread::scope`], so jobs may borrow from the enclosing stack
-//! frame — no `'static` bound, no `unsafe`. This is the planner's shape:
-//! a dozen heterogeneous fan-outs over borrowed calibration data within
-//! one `plan()` call, where fresh scoped threads per stage used to burn
-//! more time spawning than working.
+//! dropped. A [`ScopedPool`]'s workers exit when the pool is dropped and
+//! are joined by the end of their scope.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -195,66 +187,6 @@ impl<S: 'static> WorkerPool<S> {
         })
     }
 
-    /// The pooled twin of
-    /// [`batch::par_map_states`](crate::exec::batch::par_map_states):
-    /// runs every item through `run` against the pool's per-worker
-    /// states and returns the results **in item order** — deterministic
-    /// for every worker count, because each item's result depends only on
-    /// that item (worker states are reusable scratch, not accumulators).
-    ///
-    /// Unlike the scoped version the items are owned (`'static`), since
-    /// they travel to persistent threads the borrow checker cannot tie to
-    /// this call's stack frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed failing item's error. All submitted
-    /// jobs still run to completion first (their results are discarded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is closed, or if a job panicked on a worker
-    /// (the batch can no longer be completed).
-    pub fn map<T, R, E, F>(&self, items: Vec<T>, run: F) -> Result<Vec<R>, E>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        E: Send + 'static,
-        F: Fn(&mut S, &T) -> Result<R, E> + Send + Sync + 'static,
-    {
-        let n = items.len();
-        let run = Arc::new(run);
-        let (out_tx, out_rx) = mpsc::channel::<(usize, Result<R, E>)>();
-        for (index, item) in items.into_iter().enumerate() {
-            let run = Arc::clone(&run);
-            let out = out_tx.clone();
-            let job: PoolJob<S> = Box::new(move |state| {
-                let _ = out.send((index, run(state, &item)));
-            });
-            self.submit(job).expect("WorkerPool::map on a closed pool");
-        }
-        drop(out_tx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut first_err: Option<(usize, E)> = None;
-        for (index, result) in out_rx {
-            match result {
-                Ok(r) => slots[index] = Some(r),
-                Err(e) => {
-                    if first_err.as_ref().map_or(true, |(i, _)| index < *i) {
-                        first_err = Some((index, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("a pool worker dropped a map job (worker panic?)"))
-            .collect())
-    }
-
     /// Stops accepting jobs, drains everything already queued, and joins
     /// the workers. Idempotent; `Drop` performs the same drain.
     ///
@@ -328,11 +260,10 @@ pub type ScopedJob<'env, S> = Box<dyn FnOnce(&mut S) + Send + 'env>;
 ///   in-thread via `make_state(worker_index)`, and every subsequent
 ///   [`map`](Self::map) feeds them through one shared job queue. Workers
 ///   exit when the pool is dropped (the scope's end joins them).
-/// * **Inline** ([`ScopedPool::inline`], or `spawned` with
-///   `workers <= 1`): no threads at all; `map` runs the items serially on
-///   the calling thread against a single lazily-built state — bit-for-bit
-///   the serial path, which is how `workers = 1` planning stays exactly
-///   the reference implementation.
+/// * **Inline** (`spawned` with `workers <= 1`): no threads at all; `map`
+///   runs the items serially on the calling thread against the single
+///   state `make_state(0)` — bit-for-bit the serial path, which is how
+///   `workers = 1` planning stays exactly the reference implementation.
 ///
 /// Jobs and results may borrow anything that outlives the scope
 /// (`'env`); data created *between* two `map` calls moves into the jobs
@@ -342,7 +273,7 @@ pub struct ScopedPool<'env, S> {
 }
 
 enum ScopedInner<'env, S> {
-    Inline { state: RefCell<Option<S>>, make_state: Box<dyn Fn(usize) -> S + 'env> },
+    Inline(RefCell<S>),
     Spawned { tx: mpsc::Sender<ScopedJob<'env, S>>, workers: usize },
 }
 
@@ -353,21 +284,11 @@ impl<S> fmt::Debug for ScopedPool<'_, S> {
 }
 
 impl<'env, S> ScopedPool<'env, S> {
-    /// An inline pool: no threads, one lazily-built state, serial `map`.
-    pub fn inline(make_state: impl Fn(usize) -> S + 'env) -> Self {
-        ScopedPool {
-            inner: ScopedInner::Inline {
-                state: RefCell::new(None),
-                make_state: Box::new(make_state),
-            },
-        }
-    }
-
     /// Spawns `workers` pool threads into `scope`, each owning the state
     /// returned by `make_state(worker_index)` (built inside the thread,
-    /// so `S` itself need not be `Send`). `workers <= 1` degrades to
-    /// [`ScopedPool::inline`] — no thread is spawned and `map` is exactly
-    /// the serial loop.
+    /// so `S` itself need not be `Send`). `workers <= 1` degrades to an
+    /// inline pool — no thread is spawned, the one state is built on the
+    /// calling thread, and `map` is exactly the serial loop.
     ///
     /// The pool must be dropped before the scope closes (any normal usage
     /// does this); dropping it disconnects the job queue and lets the
@@ -381,7 +302,7 @@ impl<'env, S> ScopedPool<'env, S> {
         S: 'env,
     {
         if workers <= 1 {
-            return ScopedPool::inline(make_state);
+            return ScopedPool { inner: ScopedInner::Inline(RefCell::new(make_state(0))) };
         }
         let (tx, rx) = mpsc::channel::<ScopedJob<'env, S>>();
         let rx = Arc::new(Mutex::new(rx));
@@ -411,7 +332,7 @@ impl<'env, S> ScopedPool<'env, S> {
     /// The effective worker count: 1 for inline pools.
     pub fn workers(&self) -> usize {
         match &self.inner {
-            ScopedInner::Inline { .. } => 1,
+            ScopedInner::Inline(_) => 1,
             ScopedInner::Spawned { workers, .. } => *workers,
         }
     }
@@ -442,9 +363,8 @@ impl<'env, S> ScopedPool<'env, S> {
         F: Fn(&mut S, T) -> Result<R, E> + Send + Sync + 'env,
     {
         match &self.inner {
-            ScopedInner::Inline { state, make_state } => {
-                let mut guard = state.borrow_mut();
-                let state = guard.get_or_insert_with(|| make_state(0));
+            ScopedInner::Inline(state) => {
+                let state = &mut *state.borrow_mut();
                 items.into_iter().map(|item| run(state, item)).collect()
             }
             ScopedInner::Spawned { tx, .. } => {
@@ -522,7 +442,6 @@ fn next_batch<S>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::batch::par_map_states;
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
@@ -584,29 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn map_matches_scoped_par_map_states_in_order() {
-        let items: Vec<usize> = (0..23).collect();
-        let scoped = par_map_states(&items, 3, || (), |(), &i| Ok::<usize, ()>(i * i + 1)).unwrap();
-        for workers in [1, 2, 4] {
-            for max_batch in [1, 4] {
-                let pool: WorkerPool<()> = WorkerPool::new(workers, 8, max_batch, |_| ());
-                let pooled = pool.map(items.clone(), |(), &i| Ok::<usize, ()>(i * i + 1)).unwrap();
-                assert_eq!(
-                    scoped, pooled,
-                    "pool({workers} workers, max_batch {max_batch}) diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn map_returns_the_lowest_indexed_error() {
-        let pool: WorkerPool<()> = WorkerPool::new(2, 4, 2, |_| ());
-        let err = pool.map((0..9usize).collect(), |(), &i| if i % 4 == 3 { Err(i) } else { Ok(i) });
-        assert_eq!(err, Err(3));
-    }
-
-    #[test]
     fn states_are_built_per_worker_inside_the_thread() {
         // Worker indices must be 0..workers, each state created once.
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -629,22 +525,20 @@ mod tests {
         assert_eq!(pool.workers(), 1);
         assert_eq!(pool.capacity(), 1);
         assert_eq!(pool.max_batch(), 1);
-        assert!(pool.map(Vec::<u8>::new(), |(), _| Ok::<_, ()>(0)).unwrap().is_empty());
     }
 
     #[test]
     fn scoped_pool_maps_in_item_order_for_any_worker_count() {
         let items: Vec<usize> = (0..29).collect();
-        let serial = {
-            let pool: ScopedPool<'_, ()> = ScopedPool::inline(|_| ());
-            pool.map(items.clone(), |(), i| Ok::<usize, ()>(i * 3 + 1)).unwrap()
-        };
-        for workers in [1, 2, 3, 7] {
-            let pooled = thread::scope(|scope| {
+        let serial: Vec<usize> = items.iter().map(|i| i * 3 + 1).collect();
+        for workers in [0, 1, 2, 3, 7] {
+            let (pooled, empty) = thread::scope(|scope| {
                 let pool = ScopedPool::spawned(scope, workers, |_| ());
-                pool.map(items.clone(), |(), i| Ok::<usize, ()>(i * 3 + 1)).unwrap()
+                let run = |_: &mut (), i: usize| Ok::<usize, ()>(i * 3 + 1);
+                (pool.map(items.clone(), run).unwrap(), pool.map(Vec::new(), run).unwrap())
             });
             assert_eq!(serial, pooled, "worker count {workers} changed the mapping");
+            assert!(empty.is_empty(), "worker count {workers} invented results");
         }
     }
 
@@ -666,36 +560,38 @@ mod tests {
     #[test]
     fn scoped_pool_is_reusable_across_many_map_calls() {
         // One spawn round, several heterogeneous stages — the planner's
-        // usage pattern. Worker states must persist across calls.
-        let calls = thread::scope(|scope| {
+        // usage pattern. Worker states must persist across calls: each
+        // job reports its worker's running count, so a persistent state
+        // yields 1, 2, 3, … across all five calls, while a state rebuilt
+        // per call could never count past one call's 8 jobs. Whatever the
+        // scheduling, some worker runs at least half of the 40 jobs.
+        let counts = thread::scope(|scope| {
             let pool = ScopedPool::spawned(scope, 2, |_| 0u64);
+            let mut counts = Vec::new();
             for _ in 0..5 {
-                pool.map((0..8usize).collect(), |seen, i| {
-                    *seen += 1;
-                    Ok::<usize, ()>(i)
-                })
-                .unwrap();
+                counts.extend(
+                    pool.map((0..8usize).collect(), |seen, _| {
+                        *seen += 1;
+                        Ok::<u64, ()>(*seen)
+                    })
+                    .unwrap(),
+                );
             }
-            pool.map(vec![(); 2], |seen, ()| Ok::<u64, ()>(*seen)).unwrap()
+            counts
         });
-        // 5 calls x 8 jobs + the 2 probe jobs ran *somewhere* on the two
-        // persistent states; the probes see every job their worker ran.
-        assert_eq!(calls.len(), 2);
-        assert!(calls.iter().all(|&c| c >= 1), "a worker state was rebuilt: {calls:?}");
+        assert!(counts.iter().max() >= Some(&20), "a worker state was rebuilt: {counts:?}");
+        assert!(counts.iter().filter(|&&c| c == 1).count() <= 2, "states rebuilt: {counts:?}");
     }
 
     #[test]
     fn scoped_pool_returns_lowest_indexed_error() {
-        let inline_err = {
-            let pool: ScopedPool<'_, ()> = ScopedPool::inline(|_| ());
-            pool.map((0..9usize).collect(), |(), i| if i % 4 == 3 { Err(i) } else { Ok(i) })
-        };
-        assert_eq!(inline_err, Err(3));
-        let pooled_err = thread::scope(|scope| {
-            let pool: ScopedPool<'_, ()> = ScopedPool::spawned(scope, 3, |_| ());
-            pool.map((0..9usize).collect(), |(), i| if i % 4 == 3 { Err(i) } else { Ok(i) })
-        });
-        assert_eq!(pooled_err, Err(3));
+        for workers in [1, 3] {
+            let err = thread::scope(|scope| {
+                let pool: ScopedPool<'_, ()> = ScopedPool::spawned(scope, workers, |_| ());
+                pool.map((0..9usize).collect(), |(), i| if i % 4 == 3 { Err(i) } else { Ok(i) })
+            });
+            assert_eq!(err, Err(3), "workers {workers}");
+        }
     }
 
     #[test]

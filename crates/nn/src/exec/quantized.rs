@@ -63,7 +63,7 @@ pub fn calibrate_ranges(graph: &Graph, inputs: &[Tensor]) -> Result<Vec<(f32, f3
 /// plan from the VDQS search is evaluated by passing its bitwidth vector
 /// here. To share one quantized compilation across threads, use
 /// [`CompiledGraph::with_quantization`] with one [`ExecState`] per worker
-/// (or [`crate::exec::batch::run_batch_quant`]).
+/// (for instance one per [`ScopedPool`](crate::exec::ScopedPool) worker).
 #[derive(Debug)]
 pub struct QuantExecutor<'g> {
     compiled: CompiledGraph<&'g Graph>,

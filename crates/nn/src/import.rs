@@ -193,8 +193,17 @@ impl From<LowerError> for ImportError {
 // Checksum
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit hash — the format's integrity checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit hash of `bytes` — the integrity checksum of the `.qmcu`
+/// model format and of `quantmcu`'s `.qplan` plan artifacts, and the
+/// model fingerprint a plan artifact binds to.
+///
+/// ```
+/// use quantmcu_nn::import::fnv1a64;
+///
+/// assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -13,8 +13,8 @@
 
 use std::sync::Arc;
 
-use quantmcu_nn::exec::{batch, calibrate_ranges, CompiledGraph, ExecState, FloatExecutor};
-use quantmcu_nn::{init, Graph, GraphSpecBuilder};
+use quantmcu_nn::exec::{calibrate_ranges, CompiledGraph, ExecState, FloatExecutor, ScopedPool};
+use quantmcu_nn::{init, Graph, GraphError, GraphSpecBuilder};
 use quantmcu_tensor::{Bitwidth, Shape, Tensor};
 
 fn graph() -> Graph {
@@ -42,6 +42,27 @@ fn inputs(n: usize) -> Vec<Tensor> {
         .collect()
 }
 
+/// Every input through `run` on one thread with one [`ExecState`].
+fn serial<F>(xs: &[Tensor], run: F) -> Vec<Tensor>
+where
+    F: Fn(&mut ExecState, &Tensor) -> Result<Tensor, GraphError>,
+{
+    let mut state = ExecState::new();
+    xs.iter().map(|x| run(&mut state, x).unwrap()).collect()
+}
+
+/// Every input through `run` on a [`ScopedPool`] of `workers`, one
+/// [`ExecState`] per worker, results in input order.
+fn pooled<F>(xs: &[Tensor], workers: usize, run: F) -> Vec<Tensor>
+where
+    F: Fn(&mut ExecState, &Tensor) -> Result<Tensor, GraphError> + Send + Sync,
+{
+    std::thread::scope(|scope| {
+        let pool = ScopedPool::spawned(scope, workers, |_| ExecState::new());
+        pool.map(xs.iter().collect(), |state, x| run(state, x)).unwrap()
+    })
+}
+
 #[test]
 fn two_workers_sharing_one_compiled_graph_match_serial_bit_for_bit() {
     let g = graph();
@@ -51,8 +72,8 @@ fn two_workers_sharing_one_compiled_graph_match_serial_bit_for_bit() {
     let mut exec = FloatExecutor::new(&g);
     let serial: Vec<Tensor> = xs.iter().map(|x| exec.run(x).unwrap()).collect();
     // Two scoped workers, each with its own ExecState, splitting the
-    // batch by parity — a deliberately different schedule than the
-    // chunked driver uses.
+    // batch into two contiguous halves — a deliberately different
+    // schedule than the pool's dynamic per-item queue.
     let mut outputs: Vec<Option<Tensor>> = (0..xs.len()).map(|_| None).collect();
     let compiled = &compiled;
     std::thread::scope(|scope| {
@@ -79,22 +100,24 @@ fn float_batch_driver_is_worker_count_invariant() {
     let g = graph();
     let compiled = CompiledGraph::new(&g).expect("validated graphs pass analysis");
     let xs = inputs(9);
-    let serial = batch::run_batch(&compiled, &xs, 1).unwrap();
-    for workers in [2, 3, 4, 9, 32] {
-        assert_eq!(serial, batch::run_batch(&compiled, &xs, workers).unwrap());
+    let reference = serial(&xs, |state, x| compiled.run_float(state, x));
+    for workers in [1, 2, 3, 4, 9] {
+        let parallel = pooled(&xs, workers, |state, x| compiled.run_float(state, x));
+        assert_eq!(reference, parallel, "float path, {workers} workers");
     }
 }
 
 #[test]
 fn quant_batch_driver_is_worker_count_invariant() {
     let g = graph();
-    let xs = inputs(6);
+    let xs = inputs(9);
     let ranges = calibrate_ranges(&g, &xs[..2]).unwrap();
     let bits = vec![Bitwidth::W8; g.spec().feature_map_count()];
     let compiled = CompiledGraph::with_quantization(&g, &ranges, &bits, Bitwidth::W8).unwrap();
-    let serial = batch::run_batch_quant(&compiled, &xs, 1).unwrap();
-    for workers in [2, 4, 6] {
-        assert_eq!(serial, batch::run_batch_quant(&compiled, &xs, workers).unwrap());
+    let reference = serial(&xs, |state, x| compiled.run_quant(state, x));
+    for workers in [1, 2, 3, 4, 9] {
+        let parallel = pooled(&xs, workers, |state, x| compiled.run_quant(state, x));
+        assert_eq!(reference, parallel, "integer path, {workers} workers");
     }
 }
 

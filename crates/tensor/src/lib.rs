@@ -35,7 +35,6 @@ mod arena;
 mod bitwidth;
 mod error;
 pub mod pack;
-pub mod par;
 mod qtensor;
 mod quantize;
 mod shape;

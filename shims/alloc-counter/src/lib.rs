@@ -8,6 +8,13 @@
 //! `#[global_allocator]` and read [`allocation_count`] before/after a
 //! code region to assert it performed no heap allocations.
 //!
+//! Counts are kept **per thread**: [`allocation_count`] reports only the
+//! calling thread's allocations, so a measured window is not polluted by
+//! sibling tests that the harness runs concurrently on other threads.
+//! The counter is a const-initialized `thread_local!` `Cell<u64>`, which
+//! registers no TLS destructor and never allocates — safe to touch from
+//! inside [`GlobalAlloc`].
+//!
 //! This is the only crate in the workspace allowed to use `unsafe`
 //! (implementing [`GlobalAlloc`] requires it); everything else stays
 //! `forbid(unsafe_code)`.
@@ -17,11 +24,20 @@
 #![warn(missing_docs)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// A system-allocator wrapper that counts `alloc` and `realloc` calls.
+/// Bumps the calling thread's counter. `try_with` keeps this infallible
+/// even for allocations made while the thread's TLS is being torn down.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// A system-allocator wrapper that counts `alloc` and `realloc` calls
+/// per thread.
 ///
 /// Install it in a test binary with:
 ///
@@ -32,16 +48,16 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 pub struct CountingAllocator;
 
 // SAFETY: every method delegates directly to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a relaxed atomic counter
-// increment, which cannot affect allocation semantics.
+// `GlobalAlloc` contract; the only addition is a thread-local counter
+// increment, which neither allocates nor affects allocation semantics.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
@@ -52,13 +68,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that grows is a fresh allocation from the caller's
         // perspective; count it.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// Total number of heap allocations (including reallocations) performed
-/// through [`CountingAllocator`] so far.
+/// Number of heap allocations (including reallocations) the **calling
+/// thread** has performed through [`CountingAllocator`] so far.
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
