@@ -109,8 +109,8 @@ fn main() {
              \"images_per_second\": {throughput:.2}, \"vs_scoped_serial\": {vs_scoped:.4}, \
              \"latency_p50_us\": {}, \"latency_p99_us\": {}, \"bit_identical\": {identical}}}",
             time.as_secs_f64(),
-            stats.latency_p50.map_or(0, |d| d.as_micros()),
-            stats.latency_p99.map_or(0, |d| d.as_micros()),
+            stats.latency_p50.map_or("null".into(), |d| d.as_micros().to_string()),
+            stats.latency_p99.map_or("null".into(), |d| d.as_micros().to_string()),
         ));
     }
 

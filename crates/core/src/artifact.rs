@@ -188,69 +188,6 @@ pub fn graph_fingerprint(graph: &Graph) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Opcodes (same numbering as the `.qmcu` model format)
-// ---------------------------------------------------------------------------
-
-fn opcode(op: &OpSpec) -> u8 {
-    match op {
-        OpSpec::Conv2d { .. } => 1,
-        OpSpec::DepthwiseConv2d { .. } => 2,
-        OpSpec::Dense { .. } => 3,
-        OpSpec::MaxPool { .. } => 4,
-        OpSpec::AvgPool { .. } => 5,
-        OpSpec::GlobalAvgPool => 6,
-        OpSpec::Relu => 7,
-        OpSpec::Relu6 => 8,
-        OpSpec::Add => 9,
-        OpSpec::Concat => 10,
-    }
-}
-
-fn attrs(op: &OpSpec) -> Vec<u32> {
-    match *op {
-        OpSpec::Conv2d { out_ch, kernel, stride, pad } => {
-            vec![out_ch as u32, kernel as u32, stride as u32, pad as u32]
-        }
-        OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
-            vec![kernel as u32, stride as u32, pad as u32]
-        }
-        OpSpec::Dense { out } => vec![out as u32],
-        OpSpec::MaxPool { kernel, stride } | OpSpec::AvgPool { kernel, stride } => {
-            vec![kernel as u32, stride as u32]
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// Attribute counts by opcode, for the decoder (must mirror [`attrs`]).
-fn attr_count_for(opcode: u8) -> usize {
-    match opcode {
-        1 => 4,
-        2 => 3,
-        3 => 1,
-        4 | 5 => 2,
-        _ => 0,
-    }
-}
-
-fn op_from(opcode: u8, a: &[u32], offset: usize) -> Result<OpSpec, ArtifactError> {
-    let u = |i: usize| a[i] as usize;
-    Ok(match opcode {
-        1 => OpSpec::Conv2d { out_ch: u(0), kernel: u(1), stride: u(2), pad: u(3) },
-        2 => OpSpec::DepthwiseConv2d { kernel: u(0), stride: u(1), pad: u(2) },
-        3 => OpSpec::Dense { out: u(0) },
-        4 => OpSpec::MaxPool { kernel: u(0), stride: u(1) },
-        5 => OpSpec::AvgPool { kernel: u(0), stride: u(1) },
-        6 => OpSpec::GlobalAvgPool,
-        7 => OpSpec::Relu,
-        8 => OpSpec::Relu6,
-        9 => OpSpec::Add,
-        10 => OpSpec::Concat,
-        other => return Err(ArtifactError::UnknownOpcode { offset, opcode: other }),
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
 
@@ -385,8 +322,8 @@ impl PlanArtifact {
         }
         out.extend_from_slice(&(plan.spec.len() as u32).to_le_bytes());
         for node in plan.spec.nodes() {
-            out.push(opcode(&node.op));
-            for a in attrs(&node.op) {
+            out.push(node.op.opcode());
+            for a in node.op.attrs() {
                 out.extend_from_slice(&a.to_le_bytes());
             }
             out.extend_from_slice(&(node.inputs.len() as u16).to_le_bytes());
@@ -699,11 +636,12 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<GraphSpec, ArtifactError> {
         let at = r.offset();
         let code = r.u8("opcode")?;
         let mut a = [0u32; 4];
-        let n_attrs = attr_count_for(code);
+        let n_attrs = OpSpec::attr_count(code);
         for slot in a.iter_mut().take(n_attrs) {
             *slot = r.u32("operator attribute")?;
         }
-        let op = op_from(code, &a[..n_attrs], at)?;
+        let op = OpSpec::from_code(code, &a[..n_attrs])
+            .ok_or(ArtifactError::UnknownOpcode { offset: at, opcode: code })?;
         let n_inputs = usize::from(r.u16("input count")?);
         if n_inputs.checked_mul(5).map_or(true, |need| need > r.remaining()) {
             return Err(ArtifactError::Corrupted {

@@ -16,6 +16,13 @@
 //! `CompiledGraph` with one `ExecState` per worker thread of a
 //! [`ScopedPool`](crate::exec::ScopedPool).
 //!
+//! The float loop and the integer loop walk the graph in node order and
+//! evaluate each node over its full output region through the shared op
+//! dispatch ([`crate::exec::dispatch`]): the float loop with
+//! [`dispatch::float_node`], the integer loop with [`dispatch::weighted`]
+//! over [`PackedDot`] for weighted nodes and, for the rest, a dequantize →
+//! [`dispatch::value_preserving`] → requantize bracket.
+//!
 //! The [`FloatExecutor`](crate::exec::FloatExecutor) and
 //! [`QuantExecutor`](crate::exec::QuantExecutor) façades bundle the two
 //! halves back together for single-threaded callers.
@@ -26,8 +33,10 @@ use quantmcu_tensor::{pack, Arena, Bitwidth, ChannelQuantParams, QuantParams, Sh
 
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::kernels::{self, FloatDot, PackedDot, Requant};
+use crate::kernels::{PackedDot, Requant};
 use crate::spec::{FeatureMapId, GraphSpec, OpSpec, Source};
+
+use super::dispatch;
 
 /// An immutable, shareable compilation of a [`Graph`].
 ///
@@ -69,9 +78,10 @@ struct NodeQuant {
     /// `s_in * s_w(oc)`: the accumulator's real-value scale, per channel.
     acc_scale: Vec<f64>,
     /// `-zp_in * Σ w[oc]` per channel when the node's zero-point
-    /// correction can be folded into [`kernels::Dot::init`] (dense layers
-    /// and unpadded convolutions — every weight participates in every
-    /// output element); empty when padding forces per-element correction.
+    /// correction can be folded into
+    /// [`Dot::init`](crate::kernels::Dot::init) (dense layers and unpadded
+    /// convolutions — every weight participates in every output element);
+    /// empty when padding forces per-element correction.
     zp_fold: Vec<i64>,
 }
 
@@ -168,28 +178,8 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         weight_bits: Bitwidth,
     ) -> Result<Self, GraphError> {
         let spec = graph.borrow().spec();
-        let mut report = crate::analyze::verify_spec(spec);
-        if act_bits.len() == spec.feature_map_count() {
-            for (i, node) in spec.nodes().iter().enumerate() {
-                if !node.op.has_weights() {
-                    continue;
-                }
-                let in_fm = source_fm(node.inputs[0]);
-                let in_shape = spec.feature_map_shape(FeatureMapId(in_fm));
-                if let Some(d) = crate::analyze::overflow_diagnostic(
-                    i,
-                    node.op,
-                    in_shape,
-                    act_bits[in_fm],
-                    weight_bits,
-                ) {
-                    report.push(d);
-                }
-            }
-        }
-        if report.has_errors() {
-            return Err(GraphError::Analysis(report));
-        }
+        let bits_known = act_bits.len() == spec.feature_map_count();
+        verify_quantized(spec, |fm| bits_known.then(|| act_bits[fm]), weight_bits)?;
         let quant = QuantTables::build(graph.borrow(), ranges, act_bits, weight_bits)?;
         let release_after = release_schedule(graph.borrow().spec());
         Ok(CompiledGraph { graph, release_after, quant: Some(quant) })
@@ -222,26 +212,8 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                 detail: "state carries the wrong number of node entries",
             });
         }
-        let mut report = crate::analyze::verify_spec(spec);
-        for (i, node) in spec.nodes().iter().enumerate() {
-            if !node.op.has_weights() {
-                continue;
-            }
-            let in_fm = source_fm(node.inputs[0]);
-            let in_shape = spec.feature_map_shape(FeatureMapId(in_fm));
-            if let Some(d) = crate::analyze::overflow_diagnostic(
-                i,
-                node.op,
-                in_shape,
-                state.act_params[in_fm].bitwidth(),
-                state.weight_bits,
-            ) {
-                report.push(d);
-            }
-        }
-        if report.has_errors() {
-            return Err(GraphError::Analysis(report));
-        }
+        let act_params = &state.act_params;
+        verify_quantized(spec, |fm| Some(act_params[fm].bitwidth()), state.weight_bits)?;
         let mut packed_weights = Vec::with_capacity(spec.len());
         let mut node_quant = Vec::with_capacity(spec.len());
         for (i, ns) in state.nodes.into_iter().enumerate() {
@@ -451,11 +423,18 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         buf.copy_from_slice(input.data());
         state.slots[0] = Some(Tensor::from_vec(input.shape(), buf).expect("arena length matches"));
         observer(FeatureMapId::INPUT, state.slots[0].as_ref().expect("just stored"));
-        for i in 0..spec.len() {
+        for (i, node) in spec.nodes().iter().enumerate() {
             let out_shape = spec.node_shape(i);
             let mut out = Tensor::from_vec(out_shape, state.arena_f.take(out_shape.len()))
                 .expect("arena length matches");
-            eval_node(graph, &state.slots, i, &mut out);
+            let slots = &state.slots;
+            dispatch::float_node(
+                node,
+                graph.params(i),
+                |k| slots[source_fm(node.inputs[k])].as_ref().expect("liveness keeps inputs alive"),
+                &mut out,
+                out_shape.full_region(),
+            );
             state.slots[i + 1] = Some(out);
             observer(FeatureMapId::of_node(i), state.slots[i + 1].as_ref().expect("just stored"));
             for &fm in &self.release_after[i] {
@@ -535,109 +514,38 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
         for (i, node) in spec.nodes().iter().enumerate() {
             let out_fm = i + 1;
             let out_shape = spec.node_shape(i);
+            let region = out_shape.full_region();
             let mut qout = arena_q.take(out_shape.len());
-            let in0_fm = source_fm(node.inputs[0]);
-            let in_shape = spec.feature_map_shape(FeatureMapId(in0_fm));
-            match node.op {
-                OpSpec::Conv2d { out_ch, kernel, stride, pad } => {
-                    let dot = qt.dot(i, in0_fm, out_fm);
-                    kernels::conv2d(
-                        &dot,
-                        qslots[in0_fm].as_ref().expect("liveness keeps inputs alive"),
-                        in_shape,
-                        &mut qout,
-                        out_ch,
-                        kernel,
-                        stride,
-                        pad,
-                        out_shape.full_region(),
-                    );
+            if node.op.has_weights() {
+                let in_fm = source_fm(node.inputs[0]);
+                let input = qslots[in_fm].as_deref().expect("liveness keeps inputs alive");
+                let in_shape = spec.feature_map_shape(FeatureMapId(in_fm));
+                let dot = qt.dot(i, in_fm, out_fm);
+                dispatch::weighted(&dot, node.op, input, in_shape, &mut qout, region);
+            } else {
+                // Value-preserving ops: dequantize inputs into arena
+                // scratch, run the f32 dispatch, requantize.
+                for &s in &node.inputs {
+                    let fm = source_fm(s);
+                    let shape = spec.feature_map_shape(FeatureMapId(fm));
+                    let p = qt.act_params[fm];
+                    let q = qslots[fm].as_ref().expect("liveness keeps inputs alive");
+                    let mut buf = arena_f.take(shape.len());
+                    for (o, &qv) in buf.iter_mut().zip(q) {
+                        *o = p.dequantize(qv);
+                    }
+                    scratch.push(Tensor::from_vec(shape, buf).expect("arena length matches"));
                 }
-                OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
-                    let dot = qt.dot(i, in0_fm, out_fm);
-                    kernels::dwconv(
-                        &dot,
-                        qslots[in0_fm].as_ref().expect("liveness keeps inputs alive"),
-                        in_shape,
-                        &mut qout,
-                        kernel,
-                        stride,
-                        pad,
-                        out_shape.full_region(),
-                    );
+                let mut outf = arena_f.take(out_shape.len());
+                let inputs: &[Tensor] = scratch;
+                dispatch::value_preserving(node, |k| &inputs[k], &mut outf, out_shape, region);
+                let p = qt.act_params[out_fm];
+                for (q, &v) in qout.iter_mut().zip(&outf) {
+                    *q = p.quantize(v);
                 }
-                OpSpec::Dense { out } => {
-                    let dot = qt.dot(i, in0_fm, out_fm);
-                    kernels::dense(
-                        &dot,
-                        qslots[in0_fm].as_ref().expect("liveness keeps inputs alive"),
-                        in_shape,
-                        &mut qout,
-                        out,
-                    );
-                }
-                _ => {
-                    // Value-preserving ops: dequantize inputs into arena
-                    // scratch, run the shared float kernel, requantize.
-                    for &s in &node.inputs {
-                        let fm = source_fm(s);
-                        let shape = spec.feature_map_shape(FeatureMapId(fm));
-                        let p = qt.act_params[fm];
-                        let q = qslots[fm].as_ref().expect("liveness keeps inputs alive");
-                        let mut buf = arena_f.take(shape.len());
-                        for (o, &qv) in buf.iter_mut().zip(q) {
-                            *o = p.dequantize(qv);
-                        }
-                        scratch.push(Tensor::from_vec(shape, buf).expect("arena length matches"));
-                    }
-                    let mut outf = arena_f.take(out_shape.len());
-                    let region = out_shape.full_region();
-                    let s0 = &scratch[0];
-                    match node.op {
-                        OpSpec::MaxPool { kernel, stride } => kernels::max_pool(
-                            s0.data(),
-                            s0.shape(),
-                            &mut outf,
-                            kernel,
-                            stride,
-                            region,
-                        ),
-                        OpSpec::AvgPool { kernel, stride } => kernels::avg_pool(
-                            s0.data(),
-                            s0.shape(),
-                            &mut outf,
-                            kernel,
-                            stride,
-                            region,
-                        ),
-                        OpSpec::GlobalAvgPool => {
-                            kernels::global_avg_pool(s0.data(), s0.shape(), &mut outf)
-                        }
-                        OpSpec::Relu => {
-                            kernels::relu(s0.data(), s0.shape(), &mut outf, f32::INFINITY, region)
-                        }
-                        OpSpec::Relu6 => {
-                            kernels::relu(s0.data(), s0.shape(), &mut outf, 6.0, region)
-                        }
-                        OpSpec::Add => {
-                            kernels::add(s0.data(), scratch[1].data(), out_shape, &mut outf, region)
-                        }
-                        OpSpec::Concat => kernels::concat(
-                            scratch.iter().map(|t| (t.data(), t.shape())),
-                            &mut outf,
-                            out_shape,
-                            region,
-                        ),
-                        _ => unreachable!("weighted ops handled above"),
-                    }
-                    let p = qt.act_params[out_fm];
-                    for (q, &v) in qout.iter_mut().zip(&outf) {
-                        *q = p.quantize(v);
-                    }
-                    arena_f.give(outf);
-                    for t in scratch.drain(..) {
-                        arena_f.give(t.into_vec());
-                    }
+                arena_f.give(outf);
+                for t in scratch.drain(..) {
+                    arena_f.give(t.into_vec());
                 }
             }
             qslots[out_fm] = Some(qout);
@@ -764,7 +672,8 @@ impl QuantTables {
 }
 
 /// Per-channel `-zp_in * Σ w[ch]` init terms when the zero-point
-/// correction can fold into [`kernels::Dot::init`], empty otherwise.
+/// correction can fold into [`Dot::init`](crate::kernels::Dot::init),
+/// empty otherwise.
 ///
 /// The identity `Σ (q - zp)·w = Σ q·w - zp · Σ w` holds per output element
 /// only when every weight of the channel participates in that element:
@@ -878,60 +787,6 @@ impl ExecState {
 /// A streaming observer over dequantized feature maps.
 type MapObserver<'o> = &'o mut dyn FnMut(FeatureMapId, &Tensor);
 
-/// Evaluates node `i` into `out`, dispatching to the shared kernel layer.
-fn eval_node(graph: &Graph, slots: &[Option<Tensor>], i: usize, out: &mut Tensor) {
-    let spec = graph.spec();
-    let node = &spec.nodes()[i];
-    let slot = |s: Source| -> &Tensor {
-        slots[source_fm(s)].as_ref().expect("liveness schedule keeps inputs alive")
-    };
-    let in0 = slot(node.inputs[0]);
-    let in_shape = in0.shape();
-    let out_shape = out.shape();
-    let region = out_shape.full_region();
-    let dot = FloatDot { weights: graph.params(i).weights(), bias: graph.params(i).bias() };
-    match node.op {
-        OpSpec::Conv2d { out_ch, kernel, stride, pad } => kernels::conv2d(
-            &dot,
-            in0.data(),
-            in_shape,
-            out.data_mut(),
-            out_ch,
-            kernel,
-            stride,
-            pad,
-            region,
-        ),
-        OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
-            kernels::dwconv(&dot, in0.data(), in_shape, out.data_mut(), kernel, stride, pad, region)
-        }
-        OpSpec::Dense { out: out_f } => {
-            kernels::dense(&dot, in0.data(), in_shape, out.data_mut(), out_f)
-        }
-        OpSpec::MaxPool { kernel, stride } => {
-            kernels::max_pool(in0.data(), in_shape, out.data_mut(), kernel, stride, region)
-        }
-        OpSpec::AvgPool { kernel, stride } => {
-            kernels::avg_pool(in0.data(), in_shape, out.data_mut(), kernel, stride, region)
-        }
-        OpSpec::GlobalAvgPool => kernels::global_avg_pool(in0.data(), in_shape, out.data_mut()),
-        OpSpec::Relu => kernels::relu(in0.data(), in_shape, out.data_mut(), f32::INFINITY, region),
-        OpSpec::Relu6 => kernels::relu(in0.data(), in_shape, out.data_mut(), 6.0, region),
-        OpSpec::Add => {
-            kernels::add(in0.data(), slot(node.inputs[1]).data(), out_shape, out.data_mut(), region)
-        }
-        OpSpec::Concat => kernels::concat(
-            node.inputs.iter().map(|&s| {
-                let t = slot(s);
-                (t.data(), t.shape())
-            }),
-            out.data_mut(),
-            out_shape,
-            region,
-        ),
-    }
-}
-
 /// Dequantizes feature map `fm` into arena scratch and yields it.
 fn yield_map(
     arena_f: &mut Arena<f32>,
@@ -951,6 +806,31 @@ fn yield_map(
     let t = Tensor::from_vec(shape, buf).expect("arena length matches");
     observer(FeatureMapId(fm), &t);
     arena_f.give(t.into_vec());
+}
+
+/// The analyzer gates of a quantized compilation: strict structural
+/// verification plus, per weighted node, the accumulator overflow proof at
+/// its input's activation bitwidth `act_bits(fm)` (skipped when `None`).
+fn verify_quantized(
+    spec: &GraphSpec,
+    act_bits: impl Fn(usize) -> Option<Bitwidth>,
+    weight_bits: Bitwidth,
+) -> Result<(), GraphError> {
+    let mut report = crate::analyze::verify_spec(spec);
+    for (i, node) in spec.nodes().iter().enumerate().filter(|(_, n)| n.op.has_weights()) {
+        let in_fm = source_fm(node.inputs[0]);
+        let in_shape = spec.feature_map_shape(FeatureMapId(in_fm));
+        if let Some(d) = act_bits(in_fm).and_then(|bits| {
+            crate::analyze::overflow_diagnostic(i, node.op, in_shape, bits, weight_bits)
+        }) {
+            report.push(d);
+        }
+    }
+    if report.has_errors() {
+        Err(GraphError::Analysis(report))
+    } else {
+        Ok(())
+    }
 }
 
 /// Validates an executor input against the spec's declared input shape.

@@ -14,14 +14,18 @@
 //! [`WorkerPool`], the persistent pool with a bounded micro-batching
 //! queue that serving runtimes keep warm across calls.
 //!
-//! All execution dispatches into the shared op-kernel layer in
-//! [`crate::kernels`] — one cache-blocked, register-tiled loop nest per
-//! operator, generic over an element/accumulator strategy — and holds
-//! feature maps in
-//! state-owned [`Arena`](quantmcu_tensor::Arena)s, recycling each buffer
-//! once the map's last consumer has fired. The streaming `run_*_with`
-//! paths perform zero steady-state heap allocations; plain `run_*` adds
-//! exactly one — the returned tensor's buffer.
+//! Every execution path — the float loop, the integer loop and the patch
+//! engine's per-branch loop — evaluates nodes through the one op dispatch
+//! in [`dispatch`]: a single region-aware [`OpSpec`](crate::OpSpec) →
+//! kernel match over the shared op-kernel layer in [`crate::kernels`] (one
+//! cache-blocked, register-tiled loop nest per operator, generic over an
+//! element/accumulator strategy). Whole-graph execution passes the full
+//! region; a patch branch passes its halo-expanded one. The executors hold
+//! feature maps in state-owned [`Arena`](quantmcu_tensor::Arena)s,
+//! recycling each buffer once the map's last consumer has fired. The
+//! streaming `run_*_with` paths perform zero steady-state heap
+//! allocations; plain `run_*` adds exactly one — the returned tensor's
+//! buffer.
 //!
 //! Single-threaded callers use the façades, each bundling a borrowed
 //! compilation with its own state:
@@ -43,6 +47,7 @@
 //!   feature map its own bitwidth.
 
 mod compile;
+pub mod dispatch;
 mod float;
 pub mod pool;
 mod quantized;

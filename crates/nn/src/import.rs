@@ -27,7 +27,7 @@
 //! |-------|------|
 //! | node id | `u32` |
 //! | opcode | `u8` |
-//! | operator attributes | `u32 × attr_count(opcode)` |
+//! | operator attributes | `u32 × OpSpec::attr_count(opcode)` |
 //! | input count | `u16` |
 //! | inputs: tag (`0` = image, `1` = node) + node id | `(u8, u32)` each |
 //! | weight initializer: length + values | `u32`, `u32 × len` |
@@ -216,76 +216,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 // Opcodes
 // ---------------------------------------------------------------------------
 
-/// Number of `u32` attributes each opcode carries.
-fn attr_count(op: IrOp) -> usize {
-    match op {
-        IrOp::Core(OpSpec::Conv2d { .. }) => 4,
-        IrOp::Core(OpSpec::DepthwiseConv2d { .. }) => 3,
-        IrOp::Core(OpSpec::Dense { .. }) => 1,
-        IrOp::Core(OpSpec::MaxPool { .. }) | IrOp::Core(OpSpec::AvgPool { .. }) => 2,
-        _ => 0,
-    }
-}
-
-fn opcode(op: IrOp) -> u8 {
-    match op {
-        IrOp::Core(OpSpec::Conv2d { .. }) => 1,
-        IrOp::Core(OpSpec::DepthwiseConv2d { .. }) => 2,
-        IrOp::Core(OpSpec::Dense { .. }) => 3,
-        IrOp::Core(OpSpec::MaxPool { .. }) => 4,
-        IrOp::Core(OpSpec::AvgPool { .. }) => 5,
-        IrOp::Core(OpSpec::GlobalAvgPool) => 6,
-        IrOp::Core(OpSpec::Relu) => 7,
-        IrOp::Core(OpSpec::Relu6) => 8,
-        IrOp::Core(OpSpec::Add) => 9,
-        IrOp::Core(OpSpec::Concat) => 10,
-        IrOp::BiasAdd => 11,
-    }
-}
-
-fn attrs(op: IrOp) -> Vec<u32> {
-    match op {
-        IrOp::Core(OpSpec::Conv2d { out_ch, kernel, stride, pad }) => {
-            vec![out_ch as u32, kernel as u32, stride as u32, pad as u32]
-        }
-        IrOp::Core(OpSpec::DepthwiseConv2d { kernel, stride, pad }) => {
-            vec![kernel as u32, stride as u32, pad as u32]
-        }
-        IrOp::Core(OpSpec::Dense { out }) => vec![out as u32],
-        IrOp::Core(OpSpec::MaxPool { kernel, stride })
-        | IrOp::Core(OpSpec::AvgPool { kernel, stride }) => vec![kernel as u32, stride as u32],
-        _ => Vec::new(),
-    }
-}
-
-fn op_from(opcode: u8, a: &[u32]) -> Option<IrOp> {
-    let u = |i: usize| a[i] as usize;
-    Some(match opcode {
-        1 => IrOp::Core(OpSpec::Conv2d { out_ch: u(0), kernel: u(1), stride: u(2), pad: u(3) }),
-        2 => IrOp::Core(OpSpec::DepthwiseConv2d { kernel: u(0), stride: u(1), pad: u(2) }),
-        3 => IrOp::Core(OpSpec::Dense { out: u(0) }),
-        4 => IrOp::Core(OpSpec::MaxPool { kernel: u(0), stride: u(1) }),
-        5 => IrOp::Core(OpSpec::AvgPool { kernel: u(0), stride: u(1) }),
-        6 => IrOp::Core(OpSpec::GlobalAvgPool),
-        7 => IrOp::Core(OpSpec::Relu),
-        8 => IrOp::Core(OpSpec::Relu6),
-        9 => IrOp::Core(OpSpec::Add),
-        10 => IrOp::Core(OpSpec::Concat),
-        11 => IrOp::BiasAdd,
-        _ => return None,
-    })
-}
-
-/// Attribute counts by opcode, for the decoder (must mirror [`attr_count`]).
-fn attr_count_for(opcode: u8) -> usize {
-    match opcode {
-        1 => 4,
-        2 => 3,
-        3 => 1,
-        4 | 5 => 2,
-        _ => 0,
-    }
-}
+/// Opcode of the import-only [`IrOp::BiasAdd`], the one code the `.qmcu`
+/// format adds to the core operator table ([`OpSpec::opcode`]).
+const BIAS_ADD: u8 = 11;
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -314,8 +247,12 @@ pub fn encode(ir: &ModelIr) -> Vec<u8> {
     out.extend_from_slice(&(ir.nodes.len() as u32).to_le_bytes());
     for n in &ir.nodes {
         out.extend_from_slice(&(n.id as u32).to_le_bytes());
-        out.push(opcode(n.op));
-        for a in attrs(n.op) {
+        let (code, attrs) = match n.op {
+            IrOp::Core(op) => (op.opcode(), op.attrs()),
+            IrOp::BiasAdd => (BIAS_ADD, Vec::new()),
+        };
+        out.push(code);
+        for a in attrs {
             out.extend_from_slice(&a.to_le_bytes());
         }
         out.extend_from_slice(&(n.inputs.len() as u16).to_le_bytes());
@@ -498,13 +435,18 @@ pub fn decode(bytes: &[u8]) -> Result<ModelIr, ImportError> {
         let id = r.u32("node id")? as usize;
         let op_at = r.offset();
         let code = r.u8("opcode")?;
-        let mut a = Vec::with_capacity(attr_count_for(code));
-        for _ in 0..attr_count_for(code) {
+        let n_attrs = OpSpec::attr_count(code);
+        let mut a = Vec::with_capacity(n_attrs);
+        for _ in 0..n_attrs {
             a.push(r.u32("operator attribute")?);
         }
-        let op =
-            op_from(code, &a).ok_or(ImportError::UnknownOpcode { offset: op_at, opcode: code })?;
-        debug_assert_eq!(attr_count(op), attr_count_for(code));
+        let op = if code == BIAS_ADD {
+            IrOp::BiasAdd
+        } else {
+            OpSpec::from_code(code, &a)
+                .map(IrOp::Core)
+                .ok_or(ImportError::UnknownOpcode { offset: op_at, opcode: code })?
+        };
         let n_inputs = r.u16("input count")? as usize;
         let mut inputs = Vec::with_capacity(n_inputs);
         for _ in 0..n_inputs {

@@ -2,8 +2,9 @@
 //!
 //! Both executors ([`FloatExecutor`](crate::exec::FloatExecutor) and
 //! [`QuantExecutor`](crate::exec::QuantExecutor)) and the patch engine's
-//! region-restricted branch evaluation dispatch into this module, so every
-//! operator's loop nest exists exactly once. The weighted kernels
+//! region-restricted branch evaluation reach this module through the one
+//! op dispatch in [`crate::exec::dispatch`], so every operator's loop nest
+//! exists exactly once and is called from one place. The weighted kernels
 //! ([`conv2d`], [`dwconv`], [`dense`]) are generic over a [`Dot`]
 //! element/accumulator strategy: [`FloatDot`] instantiates them as the
 //! `f32` reference, [`PackedDot`] is the deployed integer strategy

@@ -150,6 +150,71 @@ impl OpSpec {
         }
     }
 
+    /// The operator's opcode in the workspace's binary formats (the
+    /// `.qmcu` model format and `.qplan` plan artifacts share one
+    /// numbering): `1..=10`, in declaration order.
+    pub fn opcode(&self) -> u8 {
+        match self {
+            OpSpec::Conv2d { .. } => 1,
+            OpSpec::DepthwiseConv2d { .. } => 2,
+            OpSpec::Dense { .. } => 3,
+            OpSpec::MaxPool { .. } => 4,
+            OpSpec::AvgPool { .. } => 5,
+            OpSpec::GlobalAvgPool => 6,
+            OpSpec::Relu => 7,
+            OpSpec::Relu6 => 8,
+            OpSpec::Add => 9,
+            OpSpec::Concat => 10,
+        }
+    }
+
+    /// The operator's `u32` attributes in encoding order, as written after
+    /// its [`OpSpec::opcode`].
+    pub fn attrs(&self) -> Vec<u32> {
+        match *self {
+            OpSpec::Conv2d { out_ch, kernel, stride, pad } => {
+                vec![out_ch as u32, kernel as u32, stride as u32, pad as u32]
+            }
+            OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
+                vec![kernel as u32, stride as u32, pad as u32]
+            }
+            OpSpec::Dense { out } => vec![out as u32],
+            OpSpec::MaxPool { kernel, stride } | OpSpec::AvgPool { kernel, stride } => {
+                vec![kernel as u32, stride as u32]
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// Number of attributes opcode `code` carries: what a decoder reads
+    /// before [`OpSpec::from_code`]. Codes outside the table carry none.
+    pub fn attr_count(code: u8) -> usize {
+        OpSpec::from_code(code, &[0; 4]).map_or(0, |op| op.attrs().len())
+    }
+
+    /// Decodes opcode `code` with its attributes, or `None` for a code
+    /// outside the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `attrs` is shorter than [`OpSpec::attr_count`] of `code`.
+    pub fn from_code(code: u8, attrs: &[u32]) -> Option<OpSpec> {
+        let u = |i: usize| attrs[i] as usize;
+        Some(match code {
+            1 => OpSpec::Conv2d { out_ch: u(0), kernel: u(1), stride: u(2), pad: u(3) },
+            2 => OpSpec::DepthwiseConv2d { kernel: u(0), stride: u(1), pad: u(2) },
+            3 => OpSpec::Dense { out: u(0) },
+            4 => OpSpec::MaxPool { kernel: u(0), stride: u(1) },
+            5 => OpSpec::AvgPool { kernel: u(0), stride: u(1) },
+            6 => OpSpec::GlobalAvgPool,
+            7 => OpSpec::Relu,
+            8 => OpSpec::Relu6,
+            9 => OpSpec::Add,
+            10 => OpSpec::Concat,
+            _ => return None,
+        })
+    }
+
     /// Infers the output shape given the operator's input shapes.
     ///
     /// # Errors
@@ -485,6 +550,27 @@ mod tests {
             })
             .collect();
         GraphSpec::new(input, nodes).unwrap()
+    }
+
+    #[test]
+    fn opcode_table_round_trips_every_operator() {
+        let ops = [
+            OpSpec::Conv2d { out_ch: 7, kernel: 3, stride: 2, pad: 1 },
+            OpSpec::DepthwiseConv2d { kernel: 5, stride: 1, pad: 2 },
+            OpSpec::Dense { out: 10 },
+            OpSpec::MaxPool { kernel: 2, stride: 2 },
+            OpSpec::AvgPool { kernel: 3, stride: 1 },
+            OpSpec::GlobalAvgPool,
+            OpSpec::Relu,
+            OpSpec::Relu6,
+            OpSpec::Add,
+            OpSpec::Concat,
+        ];
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(usize::from(op.opcode()), i + 1, "{op}: codes follow declaration order");
+            assert_eq!(OpSpec::from_code(op.opcode(), &op.attrs()), Some(*op));
+        }
+        assert_eq!((OpSpec::attr_count(0), OpSpec::from_code(11, &[])), (0, None));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 use std::borrow::Borrow;
 
-use quantmcu_nn::exec::{CompiledGraph, ExecState};
-use quantmcu_nn::kernels::{self, FloatDot};
-use quantmcu_nn::{Graph, GraphError, GraphSpec, NodeSpec, OpSpec, Source};
+use quantmcu_nn::exec::{dispatch, CompiledGraph, ExecState};
+use quantmcu_nn::{Graph, GraphError, GraphSpec};
 use quantmcu_tensor::{Arena, QuantParams, Region, Shape, Tensor};
 
 use crate::branch::Branch;
@@ -49,12 +48,16 @@ impl PatchState {
 /// Executes a [`PatchPlan`] numerically.
 ///
 /// Per branch, the executor computes only the feature-map regions the
-/// branch's receptive field requires (halo included) — on patch interiors
-/// this is bit-identical to full execution, which
-/// `stitched_equals_full_execution` in the test suite asserts. Passing
-/// per-branch quantization parameters fake-quantizes every feature-map
-/// region as it is produced, which is how mixed-precision dataflow
-/// branches (the heart of QuantMCU) are evaluated numerically; the dense
+/// branch's receptive field requires (halo included), evaluating each
+/// head node through the same op dispatch as whole-graph execution
+/// ([`quantmcu_nn::exec::dispatch`]) with the branch's region in place of
+/// the full one. A kernel's value for an output element does not depend
+/// on the region it is asked for, so the stitched stage output is
+/// bit-identical to full execution, which the integration property suite
+/// asserts for random DAG heads and grids. Passing per-branch
+/// quantization parameters fake-quantizes every feature-map region as it
+/// is produced, which is how mixed-precision dataflow branches (the heart
+/// of QuantMCU) are evaluated numerically; the dense
 /// integer path is validated separately in `quantmcu_nn::exec`.
 ///
 /// The executor is the **immutable** half of patch-based inference:
@@ -310,9 +313,13 @@ fn ensure_shape(t: &mut Tensor, shape: Shape) {
 
 /// Computes one branch's stage-output patch via region-restricted
 /// execution over the head DAG (residual adds and concats included),
-/// writing it into `out_patch`. Feature maps come from `arena` and are
-/// returned to it before the function exits; map regions outside the
-/// branch's computed halo hold unspecified scratch, which the
+/// writing it into `out_patch`. Each node runs through
+/// [`dispatch::float_node`] over the branch's region of its output map,
+/// reading its inputs from `maps` ([`quantmcu_nn::FeatureMapId`]
+/// numbering); reads outside an input map's bounds behave as zero
+/// padding, exactly like full execution. Feature maps come from `arena`
+/// and are returned to it before the function exits; map regions outside
+/// the branch's computed halo hold unspecified scratch, which the
 /// receptive-field algebra guarantees no kernel ever reads.
 #[allow(clippy::too_many_arguments)]
 fn run_branch_into(
@@ -335,17 +342,17 @@ fn run_branch_into(
         fake_quant_region(&mut m0, regions[0], &q[0]);
     }
     maps.push(m0);
-    for i in 0..head.len() {
+    for (i, node) in head.nodes().iter().enumerate() {
         let out_shape = head.node_shape(i);
         let mut t =
             Tensor::from_vec(out_shape, arena.take(out_shape.len())).expect("arena length matches");
-        eval_region(
-            &head.nodes()[i],
-            maps,
+        let inputs: &[Tensor] = maps;
+        dispatch::float_node(
+            node,
+            graph.params(i),
+            |k| &inputs[node.inputs[k].feature_map().0],
             &mut t,
             regions[i + 1],
-            graph.params(i).weights(),
-            graph.params(i).bias(),
         );
         if let Some(q) = quant {
             fake_quant_region(&mut t, regions[i + 1], &q[i + 1]);
@@ -358,13 +365,6 @@ fn run_branch_into(
     }
     result?;
     Ok(())
-}
-
-fn src_fm(s: Source) -> usize {
-    match s {
-        Source::Input => 0,
-        Source::Node(i) => i + 1,
-    }
 }
 
 /// Quantize-dequantizes the values inside `region` (all channels) in
@@ -380,63 +380,6 @@ fn fake_quant_region(t: &mut Tensor, region: Region, params: &QuantParams) {
                 }
             }
         }
-    }
-}
-
-/// Evaluates `node` only within `region` of the output map by dispatching
-/// into the shared kernel layer ([`quantmcu_nn::kernels`]), reading its
-/// inputs from `maps` ([`quantmcu_nn::FeatureMapId`] numbering). Reads
-/// outside the input map's bounds behave as zero padding, exactly like
-/// full execution.
-fn eval_region(
-    node: &NodeSpec,
-    maps: &[Tensor],
-    out: &mut Tensor,
-    region: Region,
-    weights: &[f32],
-    bias: &[f32],
-) {
-    let slot = |s: Source| -> &Tensor { &maps[src_fm(s)] };
-    let input = slot(node.inputs[0]);
-    let is = input.shape();
-    let os = out.shape();
-    let dot = FloatDot { weights, bias };
-    match node.op {
-        OpSpec::Conv2d { out_ch, kernel, stride, pad } => kernels::conv2d(
-            &dot,
-            input.data(),
-            is,
-            out.data_mut(),
-            out_ch,
-            kernel,
-            stride,
-            pad,
-            region,
-        ),
-        OpSpec::DepthwiseConv2d { kernel, stride, pad } => {
-            kernels::dwconv(&dot, input.data(), is, out.data_mut(), kernel, stride, pad, region)
-        }
-        OpSpec::MaxPool { kernel, stride } => {
-            kernels::max_pool(input.data(), is, out.data_mut(), kernel, stride, region)
-        }
-        OpSpec::AvgPool { kernel, stride } => {
-            kernels::avg_pool(input.data(), is, out.data_mut(), kernel, stride, region)
-        }
-        OpSpec::Relu => kernels::relu(input.data(), is, out.data_mut(), f32::INFINITY, region),
-        OpSpec::Relu6 => kernels::relu(input.data(), is, out.data_mut(), 6.0, region),
-        OpSpec::Add => {
-            kernels::add(input.data(), slot(node.inputs[1]).data(), os, out.data_mut(), region)
-        }
-        OpSpec::Concat => kernels::concat(
-            node.inputs.iter().map(|&s| {
-                let t = slot(s);
-                (t.data(), t.shape())
-            }),
-            out.data_mut(),
-            os,
-            region,
-        ),
-        _ => unreachable!("non-spatial operator {} cannot appear in a per-patch stage", node.op),
     }
 }
 

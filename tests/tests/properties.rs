@@ -9,6 +9,41 @@ use quantmcu::nn::{exec::FloatExecutor, init, GraphSpecBuilder};
 use quantmcu::patch::{redundancy, Branch, PatchExecutor, PatchPlan};
 use quantmcu::tensor::{pack, Bitwidth, QuantParams, Region, Shape, Tensor};
 
+/// Appends the per-patch-stage operator `code` selects to a head whose
+/// tip is `side × side × c`. Convolutions keep `c` channels, so
+/// `inverted_residual` always ends in a residual add. Downsampling applies
+/// only while the result stays at least 3×3, so every head hosts a 3×3
+/// patch grid.
+fn head_op(b: GraphSpecBuilder, side: &mut usize, c: usize, code: u8) -> GraphSpecBuilder {
+    match code {
+        0 => b.conv2d(c, 1, 1, 0),
+        1 => b.conv2d(c, 3, 1, 1),
+        2 | 3 if *side >= 5 => {
+            *side = (*side - 1) / 2 + 1;
+            let k = if code == 2 { 3 } else { 1 };
+            b.conv2d(c, k, 2, k / 2)
+        }
+        4 => b.dwconv(3, 1, 1),
+        5 if *side >= 6 => {
+            *side = (*side - 2) / 2 + 1;
+            b.max_pool(2, 2)
+        }
+        6 if *side >= 5 => {
+            *side -= 2;
+            b.avg_pool(3, 1)
+        }
+        7 => b.relu6(),
+        8 => b.inverted_residual(c, 2, 1),
+        9 => b.fire(2, c / 2, c - c / 2),
+        _ => b.relu(),
+    }
+}
+
+/// The IEEE-754 bit patterns of a tensor's values.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 fn arb_bitwidth() -> impl Strategy<Value = Bitwidth> {
     prop_oneof![Just(Bitwidth::W2), Just(Bitwidth::W4), Just(Bitwidth::W8)]
 }
@@ -76,24 +111,34 @@ proptest! {
         prop_assert!(regions[0].area() >= (out.h * stride).min(size) * (out.w * stride).min(size) / 2);
     }
 
-    /// Patch-based float execution matches plain execution for any grid.
+    /// Patch-based float execution matches plain execution bit for bit,
+    /// for any grid from 1×1 to 3×3 over any head drawn from the spatial
+    /// op alphabet (residual adds and fire-style concats included): the
+    /// stitched stage output equals the float executor's feature map at
+    /// the split point, and the final output equals its result.
     #[test]
-    fn patch_execution_is_exact(rows in 1usize..4, cols in 1usize..4, seed in 0u64..50) {
-        let spec = GraphSpecBuilder::new(Shape::hwc(12, 12, 3))
-            .conv2d(4, 3, 1, 1)
-            .relu6()
-            .conv2d(6, 3, 2, 1)
-            .global_avg_pool()
-            .dense(5)
-            .build()
-            .unwrap();
+    fn patch_execution_is_exact(
+        rows in 1usize..4,
+        cols in 1usize..4,
+        c in 2usize..10,
+        ops in prop::collection::vec(0u8..11, 1..7),
+        seed in 0u64..50,
+    ) {
+        let mut side = 12;
+        let mut b = GraphSpecBuilder::new(Shape::hwc(side, side, c));
+        for code in ops {
+            b = head_op(b, &mut side, c, code);
+        }
+        let spec = b.global_avg_pool().dense(5).build().unwrap();
+        let split = spec.len() - 2;
         let graph = init::with_structured_weights(spec, seed);
-        let plan = PatchPlan::new(graph.spec(), 3, rows, cols).unwrap();
+        let plan = PatchPlan::new(graph.spec(), split, rows, cols).unwrap();
         let pe = PatchExecutor::new(&graph, plan).unwrap();
-        let input = Tensor::from_fn(Shape::hwc(12, 12, 3), |i| ((i as u64 ^ seed) as f32 * 0.01).sin());
+        let input = Tensor::from_fn(Shape::hwc(12, 12, c), |i| ((i as u64 ^ seed) as f32 * 0.01).sin());
         let patched = pe.run(&mut pe.make_state(), &input).unwrap();
-        let full = FloatExecutor::new(&graph).run(&input).unwrap();
-        prop_assert!(patched.final_output.mean_abs_diff(&full) < 1e-4);
+        let full = FloatExecutor::new(&graph).run_trace(&input).unwrap();
+        prop_assert_eq!(bits(&patched.stage_output), bits(&full[split]));
+        prop_assert_eq!(bits(&patched.final_output), bits(full.last().unwrap()));
     }
 
     /// Redundant MACs are nonnegative and zero only for 1x1 grids.
