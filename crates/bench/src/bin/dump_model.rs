@@ -10,13 +10,14 @@
 //!   and print its header and node records.
 //! * `dump_model verify <file ...>` — import each file through the full
 //!   pipeline (decode → optimizer passes → analyzer → lower), re-export
-//!   it, and check the round trip reproduces the same graph bit-exactly.
+//!   it, and check the round trip reproduces the same graph bit-exactly
+//!   and the file's own bytes re-encode identically (decode → encode).
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use quantmcu::models::{Model, ModelConfig};
-use quantmcu::nn::import::{decode, load_model_with_stats, save_model, save_model_to_path};
+use quantmcu::nn::import::{decode, encode, load_model_with_stats, save_model, save_model_to_path};
 use quantmcu::nn::opt::ModelIr;
 
 /// Default weight seed — matches the integration-test fixtures.
@@ -122,7 +123,7 @@ fn show(path: &str) -> ExitCode {
 }
 
 /// Imports each file through the full pipeline and checks the re-export
-/// round trip is bit-exact.
+/// round trip is bit-exact and the file re-encodes byte for byte.
 fn verify(files: &[String]) -> ExitCode {
     let mut failures = 0usize;
     for path in files {
@@ -158,10 +159,16 @@ fn verify(files: &[String]) -> ExitCode {
                 failures += 1;
             }
         }
-        // The IR-level round trip must be bit-exact too.
+        // The IR-level round trip must be bit-exact too, and the file's
+        // own bytes must re-encode identically, so a file written by
+        // another build pins this build's format.
         let ir = ModelIr::from_graph(&graph);
         if decode(&save_model(&graph)) != Ok(ir) {
             println!("FAIL  {path}: IR round trip diverged");
+            failures += 1;
+        }
+        if decode(&bytes).map(|ir| encode(&ir)).as_ref() != Ok(&bytes) {
+            println!("FAIL  {path}: re-encode is not byte-identical");
             failures += 1;
         }
     }

@@ -6,15 +6,16 @@
 //!
 //! # Format
 //!
-//! Little-endian throughout; floats are stored as their IEEE-754 bit
-//! patterns (so calibrated ranges and quantization grids round-trip
-//! bit-exactly). Layout:
+//! The file is framed by the shared [`quantmcu_nn::codec`] header (magic
+//! `QPLN`, [`FORMAT_VERSION`], FNV-1a/64 checksum of the body) and keeps
+//! its conventions, as the `.qmcu` model format does: little-endian
+//! integers, floats as IEEE-754 bit patterns (so calibrated ranges and
+//! quantization grids round-trip bit-exactly), checksum before parse,
+//! lengths checked before allocation, byte offsets in every
+//! [`ArtifactError::Format`]; decoding never panics. The body:
 //!
 //! | field | encoding |
 //! |---|---|
-//! | magic | `QPLN` (4 bytes) |
-//! | format version | `u32` |
-//! | checksum | `u64` FNV-1a/64 over everything after this field |
 //! | graph fingerprint | `u64` (FNV-1a/64 of the model's `.qmcu` bytes) |
 //! | spec: input shape | `u32 × 4` (`n, h, w, c`) |
 //! | spec: node count, then per node | opcode `u8`, attrs `u32 × attr_count`, input count `u16`, inputs `(u8, u32)` each |
@@ -30,30 +31,26 @@
 //! | tail node state | count `u32`, per node: packed weights (`u32` len + bytes), bias (`u32` len + `i64` each), acc scales (`u32` len + `f64` bits each), zp folds (`u32` len + `i64` each) |
 //! | tail weight bitwidth | `u8` (must equal the plan's) |
 //!
-//! The conventions are those of the `.qmcu` model format
-//! ([`quantmcu_nn::import`]): the checksum is verified *before* the body
-//! is parsed, every length field is validated against the bytes actually
-//! remaining before any allocation, structural errors carry the byte
-//! offset they occurred at, and decoding never panics. Dataflow branches
-//! are **not** serialized — they are a deterministic function of the spec
-//! and the patch plan and are rebuilt on load.
+//! Dataflow branches are **not** serialized — they are a deterministic
+//! function of the spec and the patch plan and are rebuilt on load.
 //!
 //! # Versioning rules
 //!
 //! The magic is fixed forever. Readers accept exactly the versions they
-//! know ([`FORMAT_VERSION`]); a higher version is
-//! [`ArtifactError::UnsupportedVersion`], never a best-effort parse.
+//! know ([`FORMAT_VERSION`]); any other version is
+//! [`FormatError::UnsupportedVersion`], never a best-effort parse.
 
 use std::fmt;
 use std::path::Path;
 use std::time::Duration;
 
+use quantmcu_nn::analyze::RawInput;
+use quantmcu_nn::codec::{fnv1a64, FormatError, Reader, Writer};
 use quantmcu_nn::exec::{NodeQuantState, QuantState};
-use quantmcu_nn::import::fnv1a64;
 use quantmcu_nn::{Graph, GraphSpec, NodeSpec, OpSpec, Source};
 use quantmcu_patch::{Branch, PatchPlan};
 use quantmcu_quant::vdpc::PatchClass;
-use quantmcu_tensor::{Bitwidth, QuantParams, Shape};
+use quantmcu_tensor::{Bitwidth, QuantParams};
 
 use crate::plan::DeploymentPlan;
 
@@ -63,8 +60,8 @@ pub const MAGIC: [u8; 4] = *b"QPLN";
 /// The format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Byte offset where the checksummed region (and the body) begins.
-const BODY_OFFSET: usize = 16;
+/// What [`Reader::count`] reports for a length the body cannot hold.
+const TOO_LONG: &str = "length exceeds payload";
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -77,47 +74,9 @@ const BODY_OFFSET: usize = 16;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ArtifactError {
-    /// The file does not start with [`MAGIC`] — not a `.qplan` artifact.
-    BadMagic {
-        /// The four bytes actually found.
-        found: [u8; 4],
-    },
-    /// The file's format version is newer than this reader understands.
-    UnsupportedVersion {
-        /// Version stamped in the header.
-        found: u32,
-        /// Highest version this build supports.
-        supported: u32,
-    },
-    /// The stored checksum does not match the body — the file is damaged.
-    ChecksumMismatch {
-        /// Checksum stamped in the header.
-        stored: u64,
-        /// Checksum computed over the body.
-        computed: u64,
-    },
-    /// The stream ended in the middle of a field.
-    Truncated {
-        /// Byte offset where the field began.
-        offset: usize,
-        /// Name of the field being read.
-        field: &'static str,
-    },
-    /// A spec node uses an opcode this version does not define.
-    UnknownOpcode {
-        /// Byte offset of the opcode byte.
-        offset: usize,
-        /// The unrecognized opcode value.
-        opcode: u8,
-    },
-    /// The byte stream is structurally inconsistent (bad tag, impossible
-    /// length, unsupported bitwidth, …).
-    Corrupted {
-        /// Byte offset of the inconsistency.
-        offset: usize,
-        /// What was wrong.
-        detail: &'static str,
-    },
+    /// The bytes are not a well-formed `.qplan` stream, or the file could
+    /// not be read or written.
+    Format(FormatError),
     /// The artifact was planned for a different model than the one it is
     /// being deployed onto.
     FingerprintMismatch {
@@ -133,51 +92,29 @@ pub enum ArtifactError {
         /// Human-readable description of the failing invariant.
         detail: String,
     },
-    /// Reading or writing the artifact file failed.
-    Io {
-        /// The path involved.
-        path: String,
-        /// The OS error, stringified ([`std::io::Error`] is not `Clone`).
-        detail: String,
-    },
 }
 
 impl fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ArtifactError::BadMagic { found } => {
-                write!(f, "not a qplan artifact: magic {found:02x?}, expected {MAGIC:02x?}")
-            }
-            ArtifactError::UnsupportedVersion { found, supported } => {
-                write!(f, "format version {found} unsupported (this build reads <= {supported})")
-            }
-            ArtifactError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checksum mismatch: header {stored:#018x}, body {computed:#018x} — file damaged"
-            ),
-            ArtifactError::Truncated { offset, field } => {
-                write!(f, "byte {offset}: stream ends inside {field}")
-            }
-            ArtifactError::UnknownOpcode { offset, opcode } => {
-                write!(f, "byte {offset}: unknown opcode {opcode}")
-            }
-            ArtifactError::Corrupted { offset, detail } => write!(f, "byte {offset}: {detail}"),
+            ArtifactError::Format(e) => e.fmt(f),
             ArtifactError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "plan was built for a different model: graph fingerprint {expected:#018x}, \
                  artifact carries {found:#018x}"
             ),
             ArtifactError::Plan { detail } => write!(f, "invalid plan: {detail}"),
-            ArtifactError::Io { path, detail } => write!(f, "{path}: {detail}"),
         }
     }
 }
 
 impl std::error::Error for ArtifactError {}
 
-// ---------------------------------------------------------------------------
-// Checksum / fingerprint
-// ---------------------------------------------------------------------------
+impl From<FormatError> for ArtifactError {
+    fn from(e: FormatError) -> Self {
+        ArtifactError::Format(e)
+    }
+}
 
 /// The fingerprint a `.qplan` artifact binds to: the FNV-1a/64 hash of
 /// the model's canonical `.qmcu` serialization
@@ -185,77 +122,6 @@ impl std::error::Error for ArtifactError {}
 /// every weight bit-exactly.
 pub fn graph_fingerprint(graph: &Graph) -> u64 {
     fnv1a64(&quantmcu_nn::import::save_model(graph))
-}
-
-// ---------------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------------
-
-/// A bounds-checked cursor over the artifact body. Every read is checked
-/// against the remaining bytes and reports the absolute byte offset of
-/// the field it was decoding — decoding never panics.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    base: usize,
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8], base: usize) -> Self {
-        Reader { bytes, base, pos: 0 }
-    }
-
-    fn offset(&self) -> usize {
-        self.base + self.pos
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, len: usize, field: &'static str) -> Result<&'a [u8], ArtifactError> {
-        if len > self.remaining() {
-            return Err(ArtifactError::Truncated { offset: self.offset(), field });
-        }
-        let s = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, ArtifactError> {
-        Ok(self.take(1, field)?[0])
-    }
-
-    fn u16(&mut self, field: &'static str) -> Result<u16, ArtifactError> {
-        let s = self.take(2, field)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, ArtifactError> {
-        let s = self.take(4, field)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, ArtifactError> {
-        let s = self.take(8, field)?;
-        Ok(u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    fn f32_bits(&mut self, field: &'static str) -> Result<f32, ArtifactError> {
-        Ok(f32::from_bits(self.u32(field)?))
-    }
-
-    /// Validates a decoded element count against the bytes remaining
-    /// (`min_bytes` per element) *before* any allocation, so a corrupted
-    /// count cannot cause an out-of-memory abort.
-    fn count(&mut self, min_bytes: usize, field: &'static str) -> Result<usize, ArtifactError> {
-        let at = self.offset();
-        let n = self.u32(field)? as usize;
-        if n.checked_mul(min_bytes).map_or(true, |need| need > self.remaining()) {
-            return Err(ArtifactError::Corrupted { offset: at, detail: "length exceeds payload" });
-        }
-        Ok(n)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -309,122 +175,68 @@ impl PlanArtifact {
 
     /// Serializes the artifact to `.qplan` bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes()); // checksum patched below
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
+        let mut w = Writer::new(MAGIC, FORMAT_VERSION);
+        w.u64(self.fingerprint);
 
         let plan = &self.plan;
-        let s = plan.spec.input_shape();
-        for v in [s.n, s.h, s.w, s.c] {
-            out.extend_from_slice(&(v as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&(plan.spec.len() as u32).to_le_bytes());
-        for node in plan.spec.nodes() {
-            out.push(node.op.opcode());
-            for a in node.op.attrs() {
-                out.extend_from_slice(&a.to_le_bytes());
-            }
-            out.extend_from_slice(&(node.inputs.len() as u16).to_le_bytes());
-            for inp in &node.inputs {
-                match *inp {
-                    Source::Input => {
-                        out.push(0);
-                        out.extend_from_slice(&0u32.to_le_bytes());
-                    }
-                    Source::Node(id) => {
-                        out.push(1);
-                        out.extend_from_slice(&(id as u32).to_le_bytes());
-                    }
-                }
-            }
-        }
+        w.shape(plan.spec.input_shape());
+        w.list(plan.spec.nodes().iter(), |w, node| {
+            w.op(node.op.opcode(), &node.op.attrs());
+            w.edges(node.inputs.iter().map(|&s| RawInput::from(s)));
+        });
 
         let pp = &plan.patch_plan;
         for v in [pp.split_at(), pp.rows(), pp.cols()] {
-            out.extend_from_slice(&(v as u32).to_le_bytes());
+            w.u32(v as u32);
         }
-        out.push(plan.weight_bits.bits() as u8);
-
-        out.extend_from_slice(&(plan.patch_classes.len() as u32).to_le_bytes());
-        for c in &plan.patch_classes {
-            out.push(match c {
+        w.u8(plan.weight_bits.bits() as u8);
+        w.list(plan.patch_classes.iter(), |w, c| {
+            w.u8(match c {
                 PatchClass::NonOutlier => 0,
                 PatchClass::Outlier => 1,
             });
-        }
-
-        let write_bits = |out: &mut Vec<u8>, bits: &[Bitwidth]| {
-            out.extend_from_slice(&(bits.len() as u32).to_le_bytes());
-            for b in bits {
-                out.push(b.bits() as u8);
-            }
+        });
+        let bits = |w: &mut Writer, bits: &Vec<Bitwidth>| {
+            w.list(bits.iter(), |w, b| w.u8(b.bits() as u8));
         };
-        out.extend_from_slice(&(plan.branch_bits.len() as u32).to_le_bytes());
-        for bits in &plan.branch_bits {
-            write_bits(&mut out, bits);
-        }
-        write_bits(&mut out, &plan.tail_bits);
-
-        let write_ranges = |out: &mut Vec<u8>, ranges: &[(f32, f32)]| {
-            out.extend_from_slice(&(ranges.len() as u32).to_le_bytes());
-            for &(lo, hi) in ranges {
-                out.extend_from_slice(&lo.to_bits().to_le_bytes());
-                out.extend_from_slice(&hi.to_bits().to_le_bytes());
-            }
+        w.list(plan.branch_bits.iter(), bits);
+        bits(&mut w, &plan.tail_bits);
+        let ranges = |w: &mut Writer, ranges: &Vec<(f32, f32)>| {
+            w.list(ranges.iter(), |w, &(lo, hi)| {
+                w.f32(lo);
+                w.f32(hi);
+            });
         };
-        out.extend_from_slice(&(plan.branch_ranges.len() as u32).to_le_bytes());
-        for ranges in &plan.branch_ranges {
-            write_ranges(&mut out, ranges);
-        }
-        write_ranges(&mut out, &plan.tail_ranges);
-
-        out.extend_from_slice(&plan.search_time.as_secs().to_le_bytes());
-        out.extend_from_slice(&plan.search_time.subsec_nanos().to_le_bytes());
+        w.list(plan.branch_ranges.iter(), ranges);
+        ranges(&mut w, &plan.tail_ranges);
+        w.u64(plan.search_time.as_secs());
+        w.u32(plan.search_time.subsec_nanos());
 
         let tail = &self.tail;
-        out.extend_from_slice(&(tail.act_params.len() as u32).to_le_bytes());
-        for p in &tail.act_params {
-            out.extend_from_slice(&p.scale().to_bits().to_le_bytes());
-            out.extend_from_slice(&p.zero_point().to_le_bytes());
-            out.push(p.bitwidth().bits() as u8);
-        }
-        out.extend_from_slice(&(tail.nodes.len() as u32).to_le_bytes());
-        for n in &tail.nodes {
-            out.extend_from_slice(&(n.packed_weights.len() as u32).to_le_bytes());
-            out.extend_from_slice(&n.packed_weights);
-            out.extend_from_slice(&(n.bias_q.len() as u32).to_le_bytes());
-            for &v in &n.bias_q {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            out.extend_from_slice(&(n.acc_scale.len() as u32).to_le_bytes());
-            for &v in &n.acc_scale {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            out.extend_from_slice(&(n.zp_fold.len() as u32).to_le_bytes());
-            for &v in &n.zp_fold {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        out.push(tail.weight_bits.bits() as u8);
-
-        let sum = fnv1a64(&out[BODY_OFFSET..]);
-        out[8..16].copy_from_slice(&sum.to_le_bytes());
-        out
+        w.list(tail.act_params.iter(), |w, p| {
+            w.f32(p.scale());
+            w.u32(p.zero_point() as u32);
+            w.u8(p.bitwidth().bits() as u8);
+        });
+        w.list(tail.nodes.iter(), |w, n| {
+            w.u32(n.packed_weights.len() as u32);
+            w.bytes(&n.packed_weights);
+            w.list(n.bias_q.iter(), |w, &v| w.u64(v as u64));
+            w.list(n.acc_scale.iter(), |w, &v| w.f64(v));
+            w.list(n.zp_fold.iter(), |w, &v| w.u64(v as u64));
+        });
+        w.u8(tail.weight_bits.bits() as u8);
+        w.finish()
     }
 
     /// Writes the artifact to a `.qplan` file.
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Io`] when the file cannot be written.
+    /// [`FormatError::Io`] when the file cannot be written.
     pub fn encode_to_path(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
         let path = path.as_ref();
-        std::fs::write(path, self.encode()).map_err(|e| ArtifactError::Io {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })
+        std::fs::write(path, self.encode()).map_err(|e| FormatError::io(path, &e).into())
     }
 
     /// Deserializes and validates `.qplan` bytes.
@@ -443,27 +255,7 @@ impl PlanArtifact {
     /// impossible length, or a semantic invariant that does not hold.
     /// Decoding never panics.
     pub fn decode(bytes: &[u8]) -> Result<PlanArtifact, ArtifactError> {
-        if bytes.len() < BODY_OFFSET {
-            return Err(ArtifactError::Truncated { offset: bytes.len(), field: "header" });
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-        if magic != MAGIC {
-            return Err(ArtifactError::BadMagic { found: magic });
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let stored = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let computed = fnv1a64(&bytes[BODY_OFFSET..]);
-        if stored != computed {
-            return Err(ArtifactError::ChecksumMismatch { stored, computed });
-        }
-
-        let r = &mut Reader::new(&bytes[BODY_OFFSET..], BODY_OFFSET);
+        let r = &mut Reader::open(bytes, MAGIC, FORMAT_VERSION)?;
         let fingerprint = r.u64("graph fingerprint")?;
 
         let spec = decode_spec(r)?;
@@ -473,49 +265,31 @@ impl PlanArtifact {
         let patch_plan = PatchPlan::new(&spec, split_at, rows, cols)
             .map_err(|e| ArtifactError::Plan { detail: e.to_string() })?;
         let weight_bits = read_bitwidth(r, "weight bitwidth")?;
-
-        let n_classes = r.count(1, "patch class count")?;
-        let mut patch_classes = Vec::with_capacity(n_classes);
-        for _ in 0..n_classes {
+        let patch_classes = r.list(1, "patch class count", TOO_LONG, |r| {
             let at = r.offset();
-            patch_classes.push(match r.u8("patch class")? {
-                0 => PatchClass::NonOutlier,
-                1 => PatchClass::Outlier,
-                _ => {
-                    return Err(ArtifactError::Corrupted { offset: at, detail: "bad patch class" })
-                }
-            });
-        }
-
-        let n_branches = r.count(4, "branch count")?;
-        let mut branch_bits = Vec::with_capacity(n_branches);
-        for _ in 0..n_branches {
-            branch_bits.push(read_bits_vec(r)?);
-        }
+            match r.u8("patch class")? {
+                0 => Ok(PatchClass::NonOutlier),
+                1 => Ok(PatchClass::Outlier),
+                _ => Err(FormatError::Corrupted { offset: at, detail: "bad patch class" }),
+            }
+        })?;
+        let branch_bits = r.list(4, "branch count", TOO_LONG, read_bits_vec)?;
         let tail_bits = read_bits_vec(r)?;
-
-        let n_range_branches = r.count(4, "branch range count")?;
-        let mut branch_ranges = Vec::with_capacity(n_range_branches);
-        for _ in 0..n_range_branches {
-            branch_ranges.push(read_ranges_vec(r)?);
-        }
+        let branch_ranges = r.list(4, "branch range count", TOO_LONG, read_ranges_vec)?;
         let tail_ranges = read_ranges_vec(r)?;
 
         let secs = r.u64("search time secs")?;
         let at = r.offset();
         let nanos = r.u32("search time nanos")?;
         if nanos >= 1_000_000_000 {
-            return Err(ArtifactError::Corrupted { offset: at, detail: "bad nanosecond count" });
+            return Err(
+                FormatError::Corrupted { offset: at, detail: "bad nanosecond count" }.into()
+            );
         }
         let search_time = Duration::new(secs, nanos);
 
         let tail = decode_quant_state(r)?;
-        if r.remaining() != 0 {
-            return Err(ArtifactError::Corrupted {
-                offset: r.offset(),
-                detail: "trailing bytes after artifact body",
-            });
-        }
+        r.finish("trailing bytes after artifact body")?;
 
         // Cross-field invariants: everything Deployment construction (and
         // DeploymentPlan's accessors) assume, checked here with typed
@@ -584,125 +358,66 @@ impl PlanArtifact {
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Io`] when the file cannot be read, otherwise the
+    /// [`FormatError::Io`] when the file cannot be read, otherwise the
     /// same errors as [`PlanArtifact::decode`].
     pub fn decode_from_path(path: impl AsRef<Path>) -> Result<PlanArtifact, ArtifactError> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| ArtifactError::Io {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })?;
+        let bytes = std::fs::read(path).map_err(|e| FormatError::io(path, &e))?;
         PlanArtifact::decode(&bytes)
     }
 }
 
-fn read_bitwidth(r: &mut Reader<'_>, field: &'static str) -> Result<Bitwidth, ArtifactError> {
+fn read_bitwidth(r: &mut Reader<'_>, field: &'static str) -> Result<Bitwidth, FormatError> {
     let at = r.offset();
     let bits = r.u8(field)?;
     Bitwidth::try_from(u32::from(bits))
-        .map_err(|_| ArtifactError::Corrupted { offset: at, detail: "unsupported bitwidth" })
+        .map_err(|_| FormatError::Corrupted { offset: at, detail: "unsupported bitwidth" })
 }
 
-fn read_bits_vec(r: &mut Reader<'_>) -> Result<Vec<Bitwidth>, ArtifactError> {
-    let n = r.count(1, "bitwidth vector length")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_bitwidth(r, "bitwidth")?);
-    }
-    Ok(out)
+fn read_bits_vec(r: &mut Reader<'_>) -> Result<Vec<Bitwidth>, FormatError> {
+    r.list(1, "bitwidth vector length", TOO_LONG, |r| read_bitwidth(r, "bitwidth"))
 }
 
-fn read_ranges_vec(r: &mut Reader<'_>) -> Result<Vec<(f32, f32)>, ArtifactError> {
-    let n = r.count(8, "range vector length")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let lo = r.f32_bits("range min")?;
-        let hi = r.f32_bits("range max")?;
-        out.push((lo, hi));
-    }
-    Ok(out)
+fn read_ranges_vec(r: &mut Reader<'_>) -> Result<Vec<(f32, f32)>, FormatError> {
+    r.list(8, "range vector length", TOO_LONG, |r| Ok((r.f32("range min")?, r.f32("range max")?)))
 }
 
 fn decode_spec(r: &mut Reader<'_>) -> Result<GraphSpec, ArtifactError> {
-    let n = r.u32("input shape n")? as usize;
-    let h = r.u32("input shape h")? as usize;
-    let w = r.u32("input shape w")? as usize;
-    let c = r.u32("input shape c")? as usize;
-    let input_shape = Shape::new(n, h, w, c);
+    let input_shape = r.shape()?;
     // Smallest node record: opcode (1) + input count (2).
-    let node_count = r.count(3, "node count")?;
-    let mut nodes = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
+    let nodes = r.list(3, "node count", TOO_LONG, |r| {
         let at = r.offset();
-        let code = r.u8("opcode")?;
-        let mut a = [0u32; 4];
-        let n_attrs = OpSpec::attr_count(code);
-        for slot in a.iter_mut().take(n_attrs) {
-            *slot = r.u32("operator attribute")?;
-        }
-        let op = OpSpec::from_code(code, &a[..n_attrs])
-            .ok_or(ArtifactError::UnknownOpcode { offset: at, opcode: code })?;
-        let n_inputs = usize::from(r.u16("input count")?);
-        if n_inputs.checked_mul(5).map_or(true, |need| need > r.remaining()) {
-            return Err(ArtifactError::Corrupted {
-                offset: at,
-                detail: "input count exceeds payload",
-            });
-        }
-        let mut inputs = Vec::with_capacity(n_inputs);
-        for _ in 0..n_inputs {
-            let at = r.offset();
-            let tag = r.u8("input tag")?;
-            let id = r.u32("input id")? as usize;
-            inputs.push(match tag {
-                0 => Source::Input,
-                1 => Source::Node(id),
-                _ => return Err(ArtifactError::Corrupted { offset: at, detail: "bad input tag" }),
-            });
-        }
-        nodes.push(NodeSpec { op, inputs });
-    }
+        let op = r.op(OpSpec::from_code)?;
+        let inputs = r.edges(at)?.into_iter().map(|e| match e {
+            RawInput::Image => Source::Input,
+            RawInput::Node(id) => Source::Node(id),
+        });
+        Ok(NodeSpec { op, inputs: inputs.collect() })
+    })?;
     GraphSpec::new(input_shape, nodes).map_err(|e| ArtifactError::Plan { detail: e.to_string() })
 }
 
-fn decode_quant_state(r: &mut Reader<'_>) -> Result<QuantState, ArtifactError> {
+fn decode_quant_state(r: &mut Reader<'_>) -> Result<QuantState, FormatError> {
     // Smallest act-param record: scale (4) + zero point (4) + bitwidth (1).
-    let n_params = r.count(9, "activation param count")?;
-    let mut act_params = Vec::with_capacity(n_params);
-    for _ in 0..n_params {
+    let act_params = r.list(9, "activation param count", TOO_LONG, |r| {
         let at = r.offset();
-        let scale = r.f32_bits("activation scale")?;
+        let scale = r.f32("activation scale")?;
         let zero_point = r.u32("activation zero point")? as i32;
         let bitwidth = read_bitwidth(r, "activation bitwidth")?;
-        act_params.push(
-            QuantParams::from_raw_parts(scale, zero_point, bitwidth).map_err(|_| {
-                ArtifactError::Corrupted { offset: at, detail: "bad activation grid" }
-            })?,
-        );
-    }
+        QuantParams::from_raw_parts(scale, zero_point, bitwidth)
+            .map_err(|_| FormatError::Corrupted { offset: at, detail: "bad activation grid" })
+    })?;
     // Smallest node record: four empty length fields.
-    let n_nodes = r.count(16, "tail node count")?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        let n_packed = r.count(1, "packed weight length")?;
+    let nodes = r.list(16, "tail node count", TOO_LONG, |r| {
+        let n_packed = r.count(1, "packed weight length", TOO_LONG)?;
         let packed_weights = r.take(n_packed, "packed weights")?.to_vec();
-        let n_bias = r.count(8, "bias length")?;
-        let mut bias_q = Vec::with_capacity(n_bias);
-        for _ in 0..n_bias {
-            bias_q.push(r.u64("bias value")? as i64);
-        }
-        let n_scale = r.count(8, "accumulator scale length")?;
-        let mut acc_scale = Vec::with_capacity(n_scale);
-        for _ in 0..n_scale {
-            acc_scale.push(f64::from_bits(r.u64("accumulator scale")?));
-        }
-        let n_fold = r.count(8, "zero-point fold length")?;
-        let mut zp_fold = Vec::with_capacity(n_fold);
-        for _ in 0..n_fold {
-            zp_fold.push(r.u64("zero-point fold")? as i64);
-        }
-        nodes.push(NodeQuantState { packed_weights, bias_q, acc_scale, zp_fold });
-    }
+        let signed = |field| move |r: &mut Reader<'_>| r.u64(field).map(|v| v as i64);
+        let bias_q = r.list(8, "bias length", TOO_LONG, signed("bias value"))?;
+        let acc_scale =
+            r.list(8, "accumulator scale length", TOO_LONG, |r| r.f64("accumulator scale"))?;
+        let zp_fold = r.list(8, "zero-point fold length", TOO_LONG, signed("zero-point fold"))?;
+        Ok(NodeQuantState { packed_weights, bias_q, acc_scale, zp_fold })
+    })?;
     let weight_bits = read_bitwidth(r, "tail weight bitwidth")?;
     Ok(QuantState { act_params, nodes, weight_bits })
 }
@@ -711,8 +426,9 @@ fn decode_quant_state(r: &mut Reader<'_>) -> Result<QuantState, ArtifactError> {
 mod tests {
     use super::*;
     use crate::{Engine, SramBudget};
+    use quantmcu_nn::codec::HEADER_LEN;
     use quantmcu_nn::{init, GraphSpecBuilder};
-    use quantmcu_tensor::Tensor;
+    use quantmcu_tensor::{Shape, Tensor};
 
     fn graph() -> Graph {
         let spec = GraphSpecBuilder::new(Shape::hwc(16, 16, 3))
@@ -751,49 +467,19 @@ mod tests {
     }
 
     #[test]
-    fn header_errors_are_typed() {
-        let bytes = artifact().encode();
-
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            PlanArtifact::decode(&bad),
-            Err(ArtifactError::BadMagic { found }) if found[0] == b'X'
-        ));
-
-        let mut bumped = bytes.clone();
-        bumped[4] = FORMAT_VERSION as u8 + 1;
-        assert!(matches!(
-            PlanArtifact::decode(&bumped),
-            Err(ArtifactError::UnsupportedVersion { supported, .. })
-                if supported == FORMAT_VERSION
-        ));
-
-        let mut flipped = bytes.clone();
-        let mid = BODY_OFFSET + (flipped.len() - BODY_OFFSET) / 2;
-        flipped[mid] ^= 0xff;
-        assert!(matches!(
-            PlanArtifact::decode(&flipped),
-            Err(ArtifactError::ChecksumMismatch { .. })
-        ));
-
-        assert!(matches!(PlanArtifact::decode(&bytes[..8]), Err(ArtifactError::Truncated { .. })));
-    }
-
-    #[test]
     fn truncations_are_typed_after_checksum_repair() {
         let bytes = artifact().encode();
-        for len in [BODY_OFFSET, BODY_OFFSET + 9, bytes.len() / 2, bytes.len() - 1] {
+        for len in [HEADER_LEN, HEADER_LEN + 9, bytes.len() / 2, bytes.len() - 1] {
             let mut cut = bytes[..len].to_vec();
-            let sum = fnv1a64(&cut[BODY_OFFSET..]);
+            let sum = fnv1a64(&cut[HEADER_LEN..]);
             cut[8..16].copy_from_slice(&sum.to_le_bytes());
             let err = PlanArtifact::decode(&cut).unwrap_err();
             assert!(
                 matches!(
                     err,
-                    ArtifactError::Truncated { .. }
-                        | ArtifactError::Corrupted { .. }
-                        | ArtifactError::Plan { .. }
+                    ArtifactError::Format(
+                        FormatError::Truncated { .. } | FormatError::Corrupted { .. }
+                    ) | ArtifactError::Plan { .. }
                 ),
                 "len {len}: unexpected {err:?}"
             );
@@ -804,11 +490,14 @@ mod tests {
     fn trailing_garbage_is_rejected() {
         let mut bytes = artifact().encode();
         bytes.push(0);
-        let sum = fnv1a64(&bytes[BODY_OFFSET..]);
+        let sum = fnv1a64(&bytes[HEADER_LEN..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             PlanArtifact::decode(&bytes),
-            Err(ArtifactError::Corrupted { detail: "trailing bytes after artifact body", .. })
+            Err(ArtifactError::Format(FormatError::Corrupted {
+                detail: "trailing bytes after artifact body",
+                ..
+            }))
         ));
     }
 
@@ -824,8 +513,11 @@ mod tests {
     #[test]
     fn io_errors_carry_the_path() {
         let err = PlanArtifact::decode_from_path("/nonexistent/plan.qplan").unwrap_err();
-        assert!(matches!(&err, ArtifactError::Io { path, .. } if path.contains("nonexistent")));
+        assert!(matches!(
+            &err,
+            ArtifactError::Format(FormatError::Io { path, .. }) if path.contains("nonexistent")
+        ));
         let err = artifact().encode_to_path("/nonexistent/plan.qplan").unwrap_err();
-        assert!(matches!(&err, ArtifactError::Io { .. }));
+        assert!(matches!(&err, ArtifactError::Format(FormatError::Io { .. })));
     }
 }

@@ -571,9 +571,10 @@ mod tests {
     #[test]
     fn missing_artifact_file_is_a_typed_io_error() {
         use crate::artifact::ArtifactError;
+        use quantmcu_nn::codec::FormatError::Io;
         let engine = Engine::builder(graph()).build();
         let err = engine.deploy_from_artifact_path("/nonexistent/model.qplan").unwrap_err();
-        assert!(matches!(err, crate::Error::Artifact(ArtifactError::Io { .. })));
+        assert!(matches!(err, crate::Error::Artifact(ArtifactError::Format(Io { .. }))));
     }
 
     #[test]

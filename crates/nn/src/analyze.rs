@@ -265,6 +265,16 @@ pub enum RawInput {
     Node(usize),
 }
 
+impl From<Source> for RawInput {
+    /// A validated source, with node indices as ids.
+    fn from(s: Source) -> Self {
+        match s {
+            Source::Input => RawInput::Image,
+            Source::Node(j) => RawInput::Node(j),
+        }
+    }
+}
+
 /// One node of a [`RawGraph`], identified by an explicit id.
 ///
 /// Unlike [`NodeSpec`], ids are arbitrary and declaration order carries no
@@ -305,14 +315,7 @@ impl RawGraph {
             .map(|(i, n)| RawNode {
                 id: i,
                 op: n.op,
-                inputs: n
-                    .inputs
-                    .iter()
-                    .map(|s| match *s {
-                        Source::Input => RawInput::Image,
-                        Source::Node(j) => RawInput::Node(j),
-                    })
-                    .collect(),
+                inputs: n.inputs.iter().map(|&s| s.into()).collect(),
             })
             .collect();
         RawGraph { input_shape: spec.input_shape(), nodes, output: None }

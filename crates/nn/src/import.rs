@@ -8,14 +8,15 @@
 //!
 //! # Format (version 1)
 //!
-//! All integers are little-endian; `f32` payloads are stored as their
-//! IEEE-754 bit patterns (`u32`), so weights round-trip bit-exactly.
+//! The file is framed by the shared [`crate::codec`] header (magic
+//! `"QMCU"`, [`FORMAT_VERSION`], FNV-1a 64 checksum of the body), which
+//! also fixes the encoding conventions: little-endian integers, `f32`
+//! payloads as IEEE-754 bit patterns (so weights round-trip bit-exactly),
+//! checksum before parse, lengths checked before allocation, byte offsets
+//! in every error. The body:
 //!
 //! | offset | field | type |
 //! |--------|-------|------|
-//! | 0      | magic `"QMCU"` | `[u8; 4]` |
-//! | 4      | format version (`1`) | `u32` |
-//! | 8      | FNV-1a 64 checksum of every byte from offset 16 | `u64` |
 //! | 16     | input shape `n, h, w, c` | `4 × u32` |
 //! | 32     | explicit-output flag + output node id | `u8`, `u32` |
 //! | 37     | node count | `u32` |
@@ -33,27 +34,20 @@
 //! | weight initializer: length + values | `u32`, `u32 × len` |
 //! | bias initializer: length + values | `u32`, `u32 × len` |
 //!
-//! The checksum is verified *before* the body is parsed, so random
-//! corruption is reported as [`ImportError::ChecksumMismatch`] with both
-//! sums; structural decode errors ([`ImportError::Truncated`],
-//! [`ImportError::UnknownOpcode`], [`ImportError::Corrupted`]) carry the
-//! byte offset they occurred at. Every length field is validated against
-//! the bytes actually remaining before any allocation, so a corrupted
-//! length cannot cause an out-of-memory abort. Decoding never panics.
+//! Decode errors are [`ImportError::Format`]; decoding never panics.
 //!
 //! # Versioning rules
 //!
 //! The magic is fixed forever. Readers accept exactly the versions they
-//! know ([`FORMAT_VERSION`]); a higher version is
-//! [`ImportError::UnsupportedVersion`], never a best-effort parse. New
+//! know ([`FORMAT_VERSION`]); any other version is
+//! [`FormatError::UnsupportedVersion`], never a best-effort parse. New
 //! opcodes or attributes require a version bump.
 
 use std::fmt;
 use std::path::Path;
 
-use quantmcu_tensor::Shape;
-
-use crate::analyze::{RawInput, Report};
+use crate::analyze::Report;
+use crate::codec::{FormatError, Reader, Writer};
 use crate::opt::{IrNode, IrOp, LowerError, ModelIr, OptStats, PassManager};
 use crate::{Graph, OpSpec};
 
@@ -63,8 +57,9 @@ pub const MAGIC: [u8; 4] = *b"QMCU";
 /// The format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Byte offset where the checksummed region (and the body) begins.
-const BODY_OFFSET: usize = 16;
+/// Opcode of the import-only [`IrOp::BiasAdd`], the one code the `.qmcu`
+/// format adds to the core operator table ([`OpSpec::opcode`]).
+const BIAS_ADD: u8 = 11;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -77,47 +72,9 @@ const BODY_OFFSET: usize = 16;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ImportError {
-    /// The file does not start with [`MAGIC`] — not a `.qmcu` model.
-    BadMagic {
-        /// The four bytes actually found.
-        found: [u8; 4],
-    },
-    /// The file's format version is newer than this reader understands.
-    UnsupportedVersion {
-        /// Version stamped in the header.
-        found: u32,
-        /// Highest version this build supports.
-        supported: u32,
-    },
-    /// The stored checksum does not match the body — the file is damaged.
-    ChecksumMismatch {
-        /// Checksum stamped in the header.
-        stored: u64,
-        /// Checksum computed over the body.
-        computed: u64,
-    },
-    /// The stream ended in the middle of a field.
-    Truncated {
-        /// Byte offset where the field began.
-        offset: usize,
-        /// Name of the field being read.
-        field: &'static str,
-    },
-    /// A node record uses an opcode this version does not define.
-    UnknownOpcode {
-        /// Byte offset of the opcode byte.
-        offset: usize,
-        /// The unrecognized opcode value.
-        opcode: u8,
-    },
-    /// The byte stream is structurally inconsistent (bad tag, impossible
-    /// length, trailing garbage, …).
-    Corrupted {
-        /// Byte offset of the inconsistency.
-        offset: usize,
-        /// What was wrong.
-        detail: &'static str,
-    },
+    /// The bytes are not a well-formed `.qmcu` stream, or the file could
+    /// not be read or written.
+    Format(FormatError),
     /// The decoded graph failed static analysis (structure or shapes).
     Analysis(Report),
     /// The decoded graph is analyzer-clean but not executable: an
@@ -129,39 +86,15 @@ pub enum ImportError {
         /// Human-readable description.
         detail: String,
     },
-    /// Reading or writing the model file failed.
-    Io {
-        /// The path involved.
-        path: String,
-        /// The OS error, stringified ([`std::io::Error`] is not `Clone`).
-        detail: String,
-    },
 }
 
 impl fmt::Display for ImportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ImportError::BadMagic { found } => {
-                write!(f, "not a qmcu model: magic {found:02x?}, expected {MAGIC:02x?}")
-            }
-            ImportError::UnsupportedVersion { found, supported } => {
-                write!(f, "format version {found} unsupported (this build reads <= {supported})")
-            }
-            ImportError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checksum mismatch: header {stored:#018x}, body {computed:#018x} — file damaged"
-            ),
-            ImportError::Truncated { offset, field } => {
-                write!(f, "byte {offset}: stream ends inside {field}")
-            }
-            ImportError::UnknownOpcode { offset, opcode } => {
-                write!(f, "byte {offset}: unknown opcode {opcode}")
-            }
-            ImportError::Corrupted { offset, detail } => write!(f, "byte {offset}: {detail}"),
+            ImportError::Format(e) => e.fmt(f),
             ImportError::Analysis(report) => write!(f, "imported graph failed analysis: {report}"),
             ImportError::Model { node: Some(id), detail } => write!(f, "node {id}: {detail}"),
             ImportError::Model { node: None, detail } => f.write_str(detail),
-            ImportError::Io { path, detail } => write!(f, "{path}: {detail}"),
         }
     }
 }
@@ -172,6 +105,12 @@ impl std::error::Error for ImportError {
             ImportError::Analysis(report) => Some(report),
             _ => None,
         }
+    }
+}
+
+impl From<FormatError> for ImportError {
+    fn from(e: FormatError) -> Self {
+        ImportError::Format(e)
     }
 }
 
@@ -190,94 +129,27 @@ impl From<LowerError> for ImportError {
 }
 
 // ---------------------------------------------------------------------------
-// Checksum
-// ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit hash of `bytes` — the integrity checksum of the `.qmcu`
-/// model format and of `quantmcu`'s `.qplan` plan artifacts, and the
-/// model fingerprint a plan artifact binds to.
-///
-/// ```
-/// use quantmcu_nn::import::fnv1a64;
-///
-/// assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-/// assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-/// ```
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-// ---------------------------------------------------------------------------
-// Opcodes
-// ---------------------------------------------------------------------------
-
-/// Opcode of the import-only [`IrOp::BiasAdd`], the one code the `.qmcu`
-/// format adds to the core operator table ([`OpSpec::opcode`]).
-const BIAS_ADD: u8 = 11;
-
-// ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
 /// Serializes an importer IR into `.qmcu` bytes.
 pub fn encode(ir: &ModelIr) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes()); // checksum patched below
-    let s = ir.input_shape;
-    for v in [s.n, s.h, s.w, s.c] {
-        out.extend_from_slice(&(v as u32).to_le_bytes());
-    }
-    match ir.output {
-        Some(id) => {
-            out.push(1);
-            out.extend_from_slice(&(id as u32).to_le_bytes());
+    let mut w = Writer::new(MAGIC, FORMAT_VERSION);
+    w.shape(ir.input_shape);
+    w.u8(u8::from(ir.output.is_some()));
+    w.u32(ir.output.unwrap_or(0) as u32);
+    w.list(ir.nodes.iter(), |w, n| {
+        w.u32(n.id as u32);
+        match n.op {
+            IrOp::Core(op) => w.op(op.opcode(), &op.attrs()),
+            IrOp::BiasAdd => w.op(BIAS_ADD, &[]),
         }
-        None => {
-            out.push(0);
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(ir.nodes.len() as u32).to_le_bytes());
-    for n in &ir.nodes {
-        out.extend_from_slice(&(n.id as u32).to_le_bytes());
-        let (code, attrs) = match n.op {
-            IrOp::Core(op) => (op.opcode(), op.attrs()),
-            IrOp::BiasAdd => (BIAS_ADD, Vec::new()),
-        };
-        out.push(code);
-        for a in attrs {
-            out.extend_from_slice(&a.to_le_bytes());
-        }
-        out.extend_from_slice(&(n.inputs.len() as u16).to_le_bytes());
-        for inp in &n.inputs {
-            match *inp {
-                RawInput::Image => {
-                    out.push(0);
-                    out.extend_from_slice(&0u32.to_le_bytes());
-                }
-                RawInput::Node(id) => {
-                    out.push(1);
-                    out.extend_from_slice(&(id as u32).to_le_bytes());
-                }
-            }
-        }
+        w.edges(n.inputs.iter().copied());
         for buf in [&n.weights, &n.bias] {
-            out.extend_from_slice(&(buf.len() as u32).to_le_bytes());
-            for &v in buf.iter() {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            w.list(buf.iter(), |w, &v| w.f32(v));
         }
-    }
-    let sum = fnv1a64(&out[BODY_OFFSET..]);
-    out[8..16].copy_from_slice(&sum.to_le_bytes());
-    out
+    });
+    w.finish()
 }
 
 /// Serializes an executable graph into `.qmcu` bytes (via
@@ -290,85 +162,19 @@ pub fn save_model(graph: &Graph) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`ImportError::Io`] when the file cannot be written.
+/// [`FormatError::Io`] when the file cannot be written.
 pub fn save_model_to_path(graph: &Graph, path: impl AsRef<Path>) -> Result<(), ImportError> {
     let path = path.as_ref();
-    std::fs::write(path, save_model(graph))
-        .map_err(|e| ImportError::Io { path: path.display().to_string(), detail: e.to_string() })
+    std::fs::write(path, save_model(graph)).map_err(|e| FormatError::io(path, &e).into())
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked little-endian reader over the body bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    /// Absolute offset of `bytes[pos]` in the original file.
-    base: usize,
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8], base: usize) -> Self {
-        Reader { bytes, base, pos: 0 }
-    }
-
-    fn offset(&self) -> usize {
-        self.base + self.pos
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, len: usize, field: &'static str) -> Result<&'a [u8], ImportError> {
-        if self.remaining() < len {
-            return Err(ImportError::Truncated { offset: self.offset(), field });
-        }
-        let s = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, ImportError> {
-        Ok(self.take(1, field)?[0])
-    }
-
-    fn u16(&mut self, field: &'static str) -> Result<u16, ImportError> {
-        let b = self.take(2, field)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, ImportError> {
-        let b = self.take(4, field)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// A `u32` length prefix followed by that many `f32` bit patterns.
-    /// The length is validated against the remaining bytes *before* any
-    /// allocation, so corrupted lengths fail cleanly.
-    fn f32s(&mut self, field: &'static str) -> Result<Vec<f32>, ImportError> {
-        let at = self.offset();
-        let len = self.u32(field)? as usize;
-        let Some(byte_len) = len.checked_mul(4) else {
-            return Err(ImportError::Corrupted {
-                offset: at,
-                detail: "initializer length overflow",
-            });
-        };
-        if self.remaining() < byte_len {
-            return Err(ImportError::Corrupted {
-                offset: at,
-                detail: "initializer length exceeds remaining bytes",
-            });
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(f32::from_bits(self.u32(field)?));
-        }
-        Ok(out)
-    }
+/// Reads a `u32` length prefix followed by that many `f32` bit patterns.
+fn f32s(r: &mut Reader<'_>, field: &'static str) -> Result<Vec<f32>, FormatError> {
+    r.list(4, field, "initializer length exceeds remaining bytes", |r| r.f32(field))
 }
 
 /// Decodes `.qmcu` bytes into the importer IR, without optimizing or
@@ -377,38 +183,11 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 ///
-/// Any header/stream-level [`ImportError`]; never panics, and never
-/// allocates more than the input length.
+/// [`ImportError::Format`]; never panics, and never allocates more than
+/// the input length.
 pub fn decode(bytes: &[u8]) -> Result<ModelIr, ImportError> {
-    if bytes.len() < 4 || bytes[..4] != MAGIC {
-        let mut found = [0u8; 4];
-        for (d, s) in found.iter_mut().zip(bytes) {
-            *d = *s;
-        }
-        return Err(ImportError::BadMagic { found });
-    }
-    if bytes.len() < BODY_OFFSET {
-        return Err(ImportError::Truncated { offset: 4, field: "header" });
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != FORMAT_VERSION {
-        return Err(ImportError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
-    }
-    let stored = u64::from_le_bytes([
-        bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
-    ]);
-    let computed = fnv1a64(&bytes[BODY_OFFSET..]);
-    if stored != computed {
-        return Err(ImportError::ChecksumMismatch { stored, computed });
-    }
-
-    let mut r = Reader::new(&bytes[BODY_OFFSET..], BODY_OFFSET);
-    let n = r.u32("input shape")? as usize;
-    let h = r.u32("input shape")? as usize;
-    let w = r.u32("input shape")? as usize;
-    let c = r.u32("input shape")? as usize;
-    let input_shape = Shape::new(n, h, w, c);
-
+    let mut r = Reader::open(bytes, MAGIC, FORMAT_VERSION)?;
+    let input_shape = r.shape()?;
     let flag_at = r.offset();
     let flag = r.u8("output flag")?;
     let out_id = r.u32("output id")? as usize;
@@ -416,61 +195,24 @@ pub fn decode(bytes: &[u8]) -> Result<ModelIr, ImportError> {
         0 => None,
         1 => Some(out_id),
         _ => {
-            return Err(ImportError::Corrupted { offset: flag_at, detail: "bad output flag" });
+            return Err(FormatError::Corrupted { offset: flag_at, detail: "bad output flag" }.into())
         }
     };
-
-    let count_at = r.offset();
-    let count = r.u32("node count")? as usize;
-    // A node record is at least 15 bytes; reject impossible counts before
-    // reserving anything.
-    if count > r.remaining() / 15 + 1 {
-        return Err(ImportError::Corrupted {
-            offset: count_at,
-            detail: "node count exceeds remaining bytes",
-        });
-    }
-    let mut nodes = Vec::with_capacity(count);
-    for _ in 0..count {
+    // A node record is at least 15 bytes: id, opcode, input count and the
+    // two initializer lengths.
+    let nodes = r.list(15, "node count", "node count exceeds remaining bytes", |r| {
         let id = r.u32("node id")? as usize;
         let op_at = r.offset();
-        let code = r.u8("opcode")?;
-        let n_attrs = OpSpec::attr_count(code);
-        let mut a = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            a.push(r.u32("operator attribute")?);
-        }
-        let op = if code == BIAS_ADD {
-            IrOp::BiasAdd
-        } else {
-            OpSpec::from_code(code, &a)
-                .map(IrOp::Core)
-                .ok_or(ImportError::UnknownOpcode { offset: op_at, opcode: code })?
-        };
-        let n_inputs = r.u16("input count")? as usize;
-        let mut inputs = Vec::with_capacity(n_inputs);
-        for _ in 0..n_inputs {
-            let tag_at = r.offset();
-            let tag = r.u8("input tag")?;
-            let target = r.u32("input node id")? as usize;
-            inputs.push(match tag {
-                0 => RawInput::Image,
-                1 => RawInput::Node(target),
-                _ => {
-                    return Err(ImportError::Corrupted { offset: tag_at, detail: "bad input tag" });
-                }
-            });
-        }
-        let weights = r.f32s("weight initializer")?;
-        let bias = r.f32s("bias initializer")?;
-        nodes.push(IrNode { id, op, inputs, weights, bias });
-    }
-    if r.remaining() != 0 {
-        return Err(ImportError::Corrupted {
-            offset: r.offset(),
-            detail: "trailing bytes after last node record",
-        });
-    }
+        let op = r.op(|code, attrs| match code {
+            BIAS_ADD => Some(IrOp::BiasAdd),
+            _ => OpSpec::from_code(code, attrs).map(IrOp::Core),
+        })?;
+        let inputs = r.edges(op_at)?;
+        let weights = f32s(r, "weight initializer")?;
+        let bias = f32s(r, "bias initializer")?;
+        Ok(IrNode { id, op, inputs, weights, bias })
+    })?;
+    r.finish("trailing bytes after last node record")?;
     Ok(ModelIr { input_shape, nodes, output })
 }
 
@@ -511,20 +253,22 @@ pub fn load_model_unoptimized(bytes: &[u8]) -> Result<Graph, ImportError> {
 ///
 /// # Errors
 ///
-/// [`ImportError::Io`] when the file cannot be read, else as
+/// [`FormatError::Io`] when the file cannot be read, else as
 /// [`load_model`].
 pub fn load_model_from_path(path: impl AsRef<Path>) -> Result<Graph, ImportError> {
     let path = path.as_ref();
-    let bytes = std::fs::read(path)
-        .map_err(|e| ImportError::Io { path: path.display().to_string(), detail: e.to_string() })?;
+    let bytes = std::fs::read(path).map_err(|e| FormatError::io(path, &e))?;
     load_model(&bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::RawInput;
     use crate::builder::GraphSpecBuilder;
+    use crate::codec::{fnv1a64, HEADER_LEN};
     use crate::init;
+    use quantmcu_tensor::Shape;
 
     fn sample_graph() -> Graph {
         let spec = GraphSpecBuilder::new(Shape::hwc(8, 8, 3))
@@ -556,44 +300,25 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    ImportError::BadMagic { .. }
-                        | ImportError::Truncated { .. }
-                        | ImportError::ChecksumMismatch { .. }
-                        | ImportError::Corrupted { .. }
+                    ImportError::Format(
+                        FormatError::BadMagic { .. }
+                            | FormatError::Truncated { .. }
+                            | FormatError::ChecksumMismatch { .. }
+                            | FormatError::Corrupted { .. }
+                    )
                 ),
                 "unexpected error at len {len}: {err:?}"
             );
         }
     }
 
-    #[test]
-    fn bad_magic_and_version_are_typed() {
-        let mut bytes = save_model(&sample_graph());
-        bytes[0] = b'X';
-        assert!(matches!(decode(&bytes), Err(ImportError::BadMagic { .. })));
-        let mut bytes = save_model(&sample_graph());
-        bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            decode(&bytes).unwrap_err(),
-            ImportError::UnsupportedVersion {
-                found: FORMAT_VERSION + 1,
-                supported: FORMAT_VERSION
-            }
-        );
-    }
+    /// Offset of the opcode in [`patched_relu`]'s one node record: after
+    /// the shape (16), output (5), node count (4) and node id (4).
+    const RELU_AT: usize = HEADER_LEN + 16 + 5 + 4 + 4;
 
-    #[test]
-    fn body_corruption_is_checksummed() {
-        let clean = save_model(&sample_graph());
-        let mut bytes = clean.clone();
-        let mid = BODY_OFFSET + (bytes.len() - BODY_OFFSET) / 2;
-        bytes[mid] ^= 0xff;
-        assert!(matches!(decode(&bytes), Err(ImportError::ChecksumMismatch { .. })));
-    }
-
-    #[test]
-    fn unknown_opcode_is_typed() {
-        // Hand-build a minimal stream with opcode 200.
+    /// A one-Relu stream, changed by `patch`, with its checksum re-stamped
+    /// so decoding reaches the body.
+    fn patched_relu(patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let ir = ModelIr {
             input_shape: Shape::hwc(2, 2, 1),
             nodes: vec![IrNode {
@@ -606,38 +331,43 @@ mod tests {
             output: None,
         };
         let mut bytes = encode(&ir);
-        // Node record starts after shape(16) + output(5) + count(4).
-        let op_at = BODY_OFFSET + 16 + 5 + 4 + 4;
-        bytes[op_at] = 200;
-        let sum = fnv1a64(&bytes[BODY_OFFSET..]);
+        patch(&mut bytes);
+        let sum = fnv1a64(&bytes[HEADER_LEN..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn unknown_opcode_is_typed() {
+        let bytes = patched_relu(|b| b[RELU_AT] = 200);
         assert_eq!(
             decode(&bytes).unwrap_err(),
-            ImportError::UnknownOpcode { offset: op_at, opcode: 200 }
+            ImportError::Format(FormatError::UnknownOpcode { offset: RELU_AT, opcode: 200 })
         );
     }
 
     #[test]
     fn oversized_initializer_length_rejected_before_alloc() {
-        let ir = ModelIr {
-            input_shape: Shape::hwc(2, 2, 1),
-            nodes: vec![IrNode {
-                id: 0,
-                op: IrOp::Core(OpSpec::Relu),
-                inputs: vec![RawInput::Image],
-                weights: vec![],
-                bias: vec![],
-            }],
-            output: None,
-        };
-        let mut bytes = encode(&ir);
-        // The weight-length u32 sits 4 bytes before the bias-length u32,
-        // i.e. 8 bytes before the end.
-        let at = bytes.len() - 8;
-        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let sum = fnv1a64(&bytes[BODY_OFFSET..]);
-        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(decode(&bytes), Err(ImportError::Corrupted { .. })));
+        // The weight length sits 8 bytes before the end, before the bias's.
+        let bytes = patched_relu(|b| {
+            let at = b.len() - 8;
+            b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        assert!(matches!(decode(&bytes), Err(ImportError::Format(FormatError::Corrupted { .. }))));
+    }
+
+    #[test]
+    fn oversized_input_count_rejected_before_alloc() {
+        // The u16 input count follows the attribute-less Relu opcode.
+        let bytes =
+            patched_relu(|b| b[RELU_AT + 1..RELU_AT + 3].copy_from_slice(&u16::MAX.to_le_bytes()));
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            ImportError::Format(FormatError::Corrupted {
+                offset: RELU_AT,
+                detail: "input count exceeds payload"
+            })
+        );
     }
 
     #[test]
@@ -683,6 +413,6 @@ mod tests {
     #[test]
     fn io_error_is_typed() {
         let err = load_model_from_path("/nonexistent/model.qmcu").unwrap_err();
-        assert!(matches!(err, ImportError::Io { .. }));
+        assert!(matches!(err, ImportError::Format(FormatError::Io { .. })));
     }
 }

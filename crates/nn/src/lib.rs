@@ -26,7 +26,8 @@
 //! Models also enter from *outside* the process: the [`import`] module
 //! defines the versioned `.qmcu` serialized model format
 //! ([`import::save_model`] / [`import::load_model`], typed
-//! [`import::ImportError`]s), and the [`opt`] module runs a fixed-point
+//! [`import::ImportError`]s) on top of the [`codec`] module's framed,
+//! bounds-checked binary layer, and the [`opt`] module runs a fixed-point
 //! graph-optimizer pass pipeline (bias/activation fusion, constant
 //! folding, identity removal, dead-node elimination) over every imported
 //! model before it is lowered and compiled.
@@ -54,6 +55,7 @@
 
 pub mod analyze;
 mod builder;
+pub mod codec;
 pub mod cost;
 mod error;
 pub mod exec;

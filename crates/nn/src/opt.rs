@@ -35,7 +35,7 @@ use quantmcu_tensor::Shape;
 
 use crate::analyze::{RawGraph, RawInput, RawNode, Report};
 use crate::graph::expected_param_lens;
-use crate::{Graph, OpParams, OpSpec, Source};
+use crate::{Graph, OpParams, OpSpec};
 
 // ---------------------------------------------------------------------------
 // IR
@@ -115,14 +115,7 @@ impl ModelIr {
             .map(|(i, n)| IrNode {
                 id: i,
                 op: IrOp::Core(n.op),
-                inputs: n
-                    .inputs
-                    .iter()
-                    .map(|s| match *s {
-                        Source::Input => RawInput::Image,
-                        Source::Node(j) => RawInput::Node(j),
-                    })
-                    .collect(),
+                inputs: n.inputs.iter().map(|&s| s.into()).collect(),
                 weights: graph.params(i).weights().to_vec(),
                 bias: graph.params(i).bias().to_vec(),
             })

@@ -13,6 +13,7 @@ use quantmcu::nn::analyze::{
 };
 use quantmcu::nn::{exec::FloatExecutor, init, GraphSpecBuilder, OpSpec};
 use quantmcu::tensor::{Shape, Tensor};
+use quantmcu_integration::apply;
 
 fn conv(out_ch: usize) -> OpSpec {
     OpSpec::Conv2d { out_ch, kernel: 3, stride: 1, pad: 1 }
@@ -189,32 +190,6 @@ fn entire_zoo_lints_clean_at_exec_scale() {
 }
 
 // --- property: inferred shapes match executed shapes ------------------
-
-/// One randomized "zoo-like" op: applied against a tracked (h, w) so the
-/// resulting builder chain is always constructible. `code` packs the op
-/// kind in its low 3 bits and a size selector above them (the shim's
-/// proptest has no tuple strategies).
-fn apply(b: GraphSpecBuilder, h: &mut usize, w: &mut usize, code: u8) -> GraphSpecBuilder {
-    let sel = (code >> 3) as usize % 4;
-    match code % 8 {
-        0 => b.conv2d(2 + sel, 3, 1, 1),
-        1 if *h >= 3 && *w >= 3 => {
-            *h = (*h - 1) / 2 + 1;
-            *w = (*w - 1) / 2 + 1;
-            b.conv2d(2 + sel, 3, 2, 1)
-        }
-        2 => b.dwconv(3, 1, 1),
-        3 => b.pwconv(1 + sel),
-        4 => b.relu6(),
-        5 if *h >= 2 && *w >= 2 => {
-            *h = (*h - 2) / 2 + 1;
-            *w = (*w - 2) / 2 + 1;
-            b.max_pool(2, 2)
-        }
-        6 => b.inverted_residual(2 + sel, 2, 1),
-        _ => b.relu(),
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

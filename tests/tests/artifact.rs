@@ -21,6 +21,7 @@ use proptest::prelude::*;
 
 use quantmcu::artifact::{graph_fingerprint, ArtifactError, PlanArtifact, FORMAT_VERSION};
 use quantmcu::models::Model;
+use quantmcu::nn::codec::FormatError;
 use quantmcu::nn::{init, GraphSpecBuilder};
 use quantmcu::tensor::{Shape, Tensor};
 use quantmcu::{Engine, Error, SramBudget};
@@ -113,7 +114,10 @@ fn missing_artifact_file_is_a_typed_io_error() {
     let err = engine(Model::McuNet)
         .deploy_from_artifact_path("/nonexistent/cold-start.qplan")
         .expect_err("missing file must fail");
-    assert!(matches!(err, Error::Artifact(ArtifactError::Io { .. })), "got {err:?}");
+    assert!(
+        matches!(err, Error::Artifact(ArtifactError::Format(FormatError::Io { .. }))),
+        "got {err:?}"
+    );
 }
 
 // --- corruption properties --------------------------------------------
@@ -176,12 +180,14 @@ proptest! {
                 ));
             }
             Err(
-                ArtifactError::BadMagic { .. }
-                | ArtifactError::UnsupportedVersion { .. }
-                | ArtifactError::ChecksumMismatch { .. }
-                | ArtifactError::Truncated { .. }
-                | ArtifactError::UnknownOpcode { .. }
-                | ArtifactError::Corrupted { .. }
+                ArtifactError::Format(
+                    FormatError::BadMagic { .. }
+                    | FormatError::UnsupportedVersion { .. }
+                    | FormatError::ChecksumMismatch { .. }
+                    | FormatError::Truncated { .. }
+                    | FormatError::UnknownOpcode { .. }
+                    | FormatError::Corrupted { .. },
+                )
                 | ArtifactError::Plan { .. },
             ) => {}
             Err(other) => prop_assert!(false, "unexpected error class: {other:?}"),
@@ -196,10 +202,12 @@ proptest! {
         let err = PlanArtifact::decode(&bytes[..len]).expect_err("truncated stream must fail");
         prop_assert!(matches!(
             err,
-            ArtifactError::BadMagic { .. }
-                | ArtifactError::Truncated { .. }
-                | ArtifactError::ChecksumMismatch { .. }
-                | ArtifactError::Corrupted { .. }
+            ArtifactError::Format(
+                FormatError::BadMagic { .. }
+                    | FormatError::Truncated { .. }
+                    | FormatError::ChecksumMismatch { .. }
+                    | FormatError::Corrupted { .. }
+            )
         ), "unexpected error at len {}: {:?}", len, err);
     }
 
@@ -234,7 +242,7 @@ proptest! {
         let err = PlanArtifact::decode(&bytes).expect_err("foreign version must fail");
         prop_assert!(matches!(
             err,
-            ArtifactError::UnsupportedVersion { found, supported }
+            ArtifactError::Format(FormatError::UnsupportedVersion { found, supported })
                 if found == version && supported == FORMAT_VERSION
         ), "unexpected: {:?}", err);
     }

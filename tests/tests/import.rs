@@ -20,6 +20,7 @@ use proptest::prelude::*;
 
 use quantmcu::models::Model;
 use quantmcu::nn::analyze::RawInput;
+use quantmcu::nn::codec::FormatError;
 use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
 use quantmcu::nn::import::{
     decode, load_model, load_model_unoptimized, load_model_with_stats, save_model,
@@ -407,12 +408,14 @@ proptest! {
         match load_model(&bytes) {
             Ok(_) => {}
             Err(
-                ImportError::BadMagic { .. }
-                | ImportError::UnsupportedVersion { .. }
-                | ImportError::ChecksumMismatch { .. }
-                | ImportError::Truncated { .. }
-                | ImportError::UnknownOpcode { .. }
-                | ImportError::Corrupted { .. }
+                ImportError::Format(
+                    FormatError::BadMagic { .. }
+                    | FormatError::UnsupportedVersion { .. }
+                    | FormatError::ChecksumMismatch { .. }
+                    | FormatError::Truncated { .. }
+                    | FormatError::UnknownOpcode { .. }
+                    | FormatError::Corrupted { .. },
+                )
                 | ImportError::Analysis(_)
                 | ImportError::Model { .. },
             ) => {}
@@ -428,10 +431,12 @@ proptest! {
         let err = load_model(&bytes[..len]).expect_err("truncated stream must fail");
         prop_assert!(matches!(
             err,
-            ImportError::BadMagic { .. }
-                | ImportError::Truncated { .. }
-                | ImportError::ChecksumMismatch { .. }
-                | ImportError::Corrupted { .. }
+            ImportError::Format(
+                FormatError::BadMagic { .. }
+                    | FormatError::Truncated { .. }
+                    | FormatError::ChecksumMismatch { .. }
+                    | FormatError::Corrupted { .. }
+            )
         ), "unexpected error at len {}: {:?}", len, err);
     }
 
@@ -468,7 +473,10 @@ proptest! {
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
         prop_assert_eq!(
             decode(&bytes).unwrap_err(),
-            ImportError::UnsupportedVersion { found: version, supported: FORMAT_VERSION }
+            ImportError::Format(FormatError::UnsupportedVersion {
+                found: version,
+                supported: FORMAT_VERSION
+            })
         );
     }
 }
