@@ -1,5 +1,5 @@
 //! Planner-throughput benchmarks: serial versus parallel
-//! `Planner::plan` over a synthetic calibration set, swept across worker
+//! `Engine::plan` over a synthetic calibration set, swept across worker
 //! counts. The calibration prologue — one streaming float inference per
 //! image — dominates planning wall clock, so the speedup tracks the
 //! batch driver's scaling on the host (on a single-core host the sweep
@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use quantmcu::models::Model;
 use quantmcu::tensor::Tensor;
-use quantmcu::{Planner, QuantMcuConfig};
+use quantmcu::{Engine, SramBudget};
 use quantmcu_bench::{exec_dataset, exec_graph, EXEC_SRAM};
 
 fn planner_throughput(c: &mut Criterion) {
@@ -21,9 +21,12 @@ fn planner_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("planner");
     group.sample_size(10);
     for workers in [1usize, 2, 4, 8] {
-        let planner = Planner::new(QuantMcuConfig { workers, ..QuantMcuConfig::paper() });
+        let engine = Engine::builder(graph.clone())
+            .sram_budget(SramBudget::new(EXEC_SRAM))
+            .workers(workers)
+            .build();
         group.bench_with_input(BenchmarkId::new("plan_32img", workers), &workers, |b, _| {
-            b.iter(|| planner.plan(&graph, &calib, EXEC_SRAM).expect("plan"))
+            b.iter(|| engine.plan(&calib).expect("plan"))
         });
     }
     group.finish();

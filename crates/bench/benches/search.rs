@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use quantmcu::models::Model;
 use quantmcu::quant::baselines::{haq, hawq, pact, TimeModel};
 use quantmcu::tensor::Tensor;
-use quantmcu::{Planner, QuantMcuConfig};
+use quantmcu::{Engine, SramBudget};
 use quantmcu_bench::{calibration, exec_dataset, exec_graph};
 
 fn searches(c: &mut Criterion) {
@@ -20,8 +20,8 @@ fn searches(c: &mut Criterion) {
     let mut group = c.benchmark_group("search");
     group.sample_size(10);
     group.bench_function("quantmcu_full_pipeline", |b| {
-        let planner = Planner::new(QuantMcuConfig::paper());
-        b.iter(|| planner.plan(&graph, &calib, 256 * 1024).expect("plan"))
+        let engine = Engine::builder(graph.clone()).sram_budget(SramBudget::kib(256)).build();
+        b.iter(|| engine.plan(&calib).expect("plan"))
     });
     group.bench_function("pact_clip_search", |b| {
         b.iter(|| pact::run(&graph, &calib, &time).expect("pact"))

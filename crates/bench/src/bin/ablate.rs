@@ -10,7 +10,7 @@ use quantmcu::models::Model;
 use quantmcu::patch::{redundancy, PatchPlan};
 use quantmcu::quant::vdpc::{OutlierRule, VdpcClassifier};
 use quantmcu::tensor::stats;
-use quantmcu::{Planner, QuantMcuConfig};
+use quantmcu::{Engine, SramBudget};
 use quantmcu_bench::{calibration, exec_dataset, exec_graph, header, row, EXEC_SRAM};
 
 fn main() {
@@ -56,12 +56,15 @@ fn grid_ablation() {
 /// scope) split policies.
 fn split_policy_ablation() {
     println!("\nAblation 2: split policy (exec-scale MobileNetV2, QuantMCU plan)\n");
-    let graph = exec_graph(Model::MobileNetV2);
+    let engine = Engine::builder(exec_graph(Model::MobileNetV2))
+        .sram_budget(SramBudget::new(EXEC_SRAM))
+        .build();
+    let graph = engine.graph();
     let calib = calibration(&exec_dataset());
     let widths = [8, 7, 12, 14, 12];
     header(&["Policy", "Split", "BitOPs (M)", "PeakMem (KB)", "MeanBits"], &widths);
-    // Fitted policy = the production Planner.
-    let plan = Planner::new(QuantMcuConfig::paper()).plan(&graph, &calib, EXEC_SRAM).expect("plan");
+    // Fitted policy = the production planner.
+    let plan = engine.plan(calib).expect("plan");
     print_plan_row("fitted", &plan, &widths);
     // Deep policy, reconstructed through the public plan API.
     let deep = PatchPlan::deep(graph.spec(), 3).expect("deep plan");

@@ -1,11 +1,14 @@
 //! Planner-throughput measurement emitting `BENCH_plan.json`, so the
 //! planning-speed trajectory is machine-readable across revisions.
 //!
-//! Runs `Planner::plan` over a ~32-image synthetic calibration set at a
-//! sweep of worker counts, reports wall clock, a per-stage breakdown
-//! (prologue / VDPC / entropy / VDQS) and speedup versus serial, and
-//! cross-checks that every worker count produced a bit-identical plan
-//! (the determinism contract the pooled planner guarantees).
+//! Runs `Planner::plan_with_stats` — the ungated single-budget plan that
+//! also reports stage timings — over a ~32-image synthetic calibration
+//! set at a sweep of worker counts, reports wall clock, a per-stage
+//! breakdown (prologue / VDPC / entropy / VDQS) and speedup versus
+//! serial, and cross-checks that every worker count produced a
+//! bit-identical plan (the determinism contract the pooled planner
+//! guarantees). The cold-start section plans and deploys through
+//! `Engine`.
 //!
 //! Set `QUANTMCU_SMOKE=1` to shrink the calibration set and repetition
 //! count for CI smoke runs.

@@ -1,12 +1,15 @@
 //! Budget-sweep measurement emitting `BENCH_sweep.json`: how much cheaper
-//! is planning a whole SRAM-budget ladder through `Planner::plan_sweep`
-//! (shared prologue / VDPC / entropy per patch split) than planning each
-//! rung independently — and what does the resulting
-//! (BitOPs, peak SRAM, latency) operating-point grid look like?
+//! is planning a whole SRAM-budget ladder through
+//! `Engine::plan_sweep_each` (shared prologue / VDPC / entropy per patch
+//! split) than planning each rung independently — and what does the
+//! resulting (BitOPs, peak SRAM, latency) operating-point grid look like?
 //!
 //! Hard tripwire: every sweep outcome must be bit-identical to the
-//! independent `Planner::plan` outcome at the same budget (plans compare
-//! `timeless()`, failures compare by error value).
+//! independent `Planner::plan_with_stats` outcome at the same budget
+//! (plans compare `timeless()`, failures compare by error value). The
+//! reference is the planner's ungated call, so a rung the planner
+//! rejects is compared with the planner's own error, not with the
+//! analyzer's verdict on that budget.
 //!
 //! Set `QUANTMCU_SMOKE=1` to shrink the ladder and calibration set for CI
 //! smoke runs.
@@ -17,19 +20,21 @@ use quantmcu::fleet::{plan_fleet, FleetModel};
 use quantmcu::mcusim::Device;
 use quantmcu::models::Model;
 use quantmcu::tensor::Tensor;
-use quantmcu::{Planner, QuantMcuConfig, SramBudget};
+use quantmcu::{Engine, Planner, QuantMcuConfig, SramBudget};
 use quantmcu_bench::{exec_dataset, exec_graph, smoke};
 
 fn main() {
     let (images, budgets_kib): (usize, &[usize]) =
         if smoke() { (8, &[8, 16, 32, 64]) } else { (32, &[4, 6, 8, 12, 16, 24, 32, 48, 64]) };
-    let budgets: Vec<usize> = budgets_kib.iter().map(|k| k * 1024).collect();
-    let graph = exec_graph(Model::MobileNetV2);
+    let budgets: Vec<SramBudget> = budgets_kib.iter().map(|&k| SramBudget::kib(k)).collect();
+    let graph = std::sync::Arc::new(exec_graph(Model::MobileNetV2));
     let ds = exec_dataset();
     let calib: Vec<Tensor> = ds.images(images);
-    // Serial planner: the sweep-vs-independent ratio should measure
+    // Serial planning: the sweep-vs-independent ratio should measure
     // prologue/table reuse, not thread-pool effects.
-    let planner = Planner::new(QuantMcuConfig { workers: 1, ..QuantMcuConfig::paper() });
+    let cfg = QuantMcuConfig { workers: 1, ..QuantMcuConfig::paper() };
+    let engine = Engine::builder(std::sync::Arc::clone(&graph)).config(cfg.clone()).build();
+    let planner = Planner::new(cfg.clone());
 
     println!(
         "Budget sweep: {} budgets ({}..{} KiB), {images}-image calibration set\n",
@@ -39,11 +44,14 @@ fn main() {
     );
 
     let start = Instant::now();
-    let sweep = planner.plan_sweep_each(&graph, &calib, &budgets).expect("sweep");
+    let sweep = engine.plan_sweep_each(&calib, &budgets).expect("sweep");
     let sweep_time = start.elapsed();
 
     let start = Instant::now();
-    let independent: Vec<_> = budgets.iter().map(|&b| planner.plan(&graph, &calib, b)).collect();
+    let independent: Vec<_> = budgets
+        .iter()
+        .map(|b| planner.plan_with_stats(&graph, &calib, b.bytes()).map(|(plan, _)| plan))
+        .collect();
     let independent_time = start.elapsed();
 
     // ---- Bit-identity tripwire: sweep == independent, rung by rung. ----
@@ -89,16 +97,9 @@ fn main() {
     }
 
     // ---- Operating-point grid + Pareto frontier over the ladder. ----
-    let fleet_budgets: Vec<SramBudget> = budgets.iter().map(|&b| SramBudget::new(b)).collect();
     let model = FleetModel::new("MobileNetV2 (exec scale)", graph, calib);
     let devices = Device::table1_platforms();
-    let report = plan_fleet(
-        &QuantMcuConfig { workers: 1, ..QuantMcuConfig::paper() },
-        &[model],
-        &devices,
-        &fleet_budgets,
-    )
-    .expect("fleet grid");
+    let report = plan_fleet(&cfg, &[model], &devices, &budgets).expect("fleet grid");
 
     println!(
         "\n  {:<28} {:>10} {:>12} {:>12} {:>10}  pareto",

@@ -17,9 +17,10 @@ use quantmcu::models::{detection_head, Model, ModelConfig};
 use quantmcu::nn::exec::{calibrate_ranges, FloatExecutor, QuantExecutor};
 use quantmcu::nn::init;
 use quantmcu::tensor::Bitwidth;
-use quantmcu::{Planner, QuantMcuConfig};
+use quantmcu::{Engine, QuantMcuConfig, SramBudget};
 use quantmcu_bench::{
-    calibration, deployment_fidelity, evaluation, exec_dataset, exec_graph, header, row, SEED,
+    calibration, deployment_fidelity, evaluation, exec_dataset, exec_graph, header, row, EXEC_SRAM,
+    SEED,
 };
 
 const WIDTHS: [usize; 4] = [12, 10, 12, 10];
@@ -33,31 +34,20 @@ fn main() {
     let mut fidelities = Vec::new();
     for model in Model::FIG4 {
         let graph = std::sync::Arc::new(exec_graph(model));
-        let planner8 = Planner::new(QuantMcuConfig::paper());
-        let f_mcunet = deployment_fidelity(
-            &graph,
-            planner8
-                .plan_uniform(&graph, &calib, Bitwidth::W8, quantmcu_bench::EXEC_SRAM)
-                .expect("plan"),
-            &eval,
-        )
-        .expect("run");
-        let f_ablate = deployment_fidelity(
-            &graph,
-            Planner::new(QuantMcuConfig::without_vdpc())
-                .plan(&graph, &calib, quantmcu_bench::EXEC_SRAM)
-                .expect("plan"),
-            &eval,
-        )
-        .expect("run");
-        let f_quantmcu = deployment_fidelity(
-            &graph,
-            Planner::new(QuantMcuConfig::paper())
-                .plan(&graph, &calib, quantmcu_bench::EXEC_SRAM)
-                .expect("plan"),
-            &eval,
-        )
-        .expect("run");
+        let engine = |cfg| {
+            Engine::builder(std::sync::Arc::clone(&graph))
+                .config(cfg)
+                .sram_budget(SramBudget::new(EXEC_SRAM))
+                .build()
+        };
+        let paper = engine(QuantMcuConfig::paper());
+        let ablated = engine(QuantMcuConfig::without_vdpc());
+        let uniform = paper.plan_uniform(&calib, Bitwidth::W8).expect("plan");
+        let f_mcunet = deployment_fidelity(&paper, uniform, &eval).expect("run");
+        let plan = ablated.plan(&calib).expect("plan");
+        let f_ablate = deployment_fidelity(&ablated, plan, &eval).expect("run");
+        let plan = paper.plan(&calib).expect("plan");
+        let f_quantmcu = deployment_fidelity(&paper, plan, &eval).expect("run");
         let anchor = PaperAnchors::imagenet_top1(model);
         println!(
             "{}",

@@ -11,7 +11,7 @@ use quantmcu::models::Model;
 use quantmcu::nn::exec::FloatExecutor;
 use quantmcu::quant::VdpcConfig;
 use quantmcu::tensor::Tensor;
-use quantmcu::{Deployment, Planner, QuantMcuConfig};
+use quantmcu::{Engine, QuantMcuConfig, SramBudget};
 use quantmcu_bench::{calibration, evaluation, exec_dataset, exec_graph, header, row};
 
 const WIDTHS: [usize; 4] = [8, 9, 9, 10];
@@ -28,9 +28,13 @@ fn main() {
     header(&["phi", "Top-1", "Top-5", "Outliers"], &WIDTHS);
     for phi in [0.90, 0.92, 0.94, 0.96, 0.98, 0.995] {
         let cfg = QuantMcuConfig { vdpc: VdpcConfig::with_phi(phi), ..QuantMcuConfig::paper() };
-        let plan = Planner::new(cfg).plan(&graph, &calib, quantmcu_bench::EXEC_SRAM).expect("plan");
+        let engine = Engine::builder(std::sync::Arc::clone(&graph))
+            .config(cfg)
+            .sram_budget(SramBudget::new(quantmcu_bench::EXEC_SRAM))
+            .build();
+        let plan = engine.plan(&calib).expect("plan");
         let outliers = plan.outlier_patch_count();
-        let deployment = Deployment::new(std::sync::Arc::clone(&graph), plan).expect("deploy");
+        let deployment = engine.deploy(plan).expect("deploy");
         let quant = deployment.session().run_batch(&eval).expect("run");
         let top1_fid = agreement_top1(&float, &quant);
         // Top-5 fidelity: the float argmax appears in the quantized top-5.

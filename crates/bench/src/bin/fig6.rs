@@ -7,17 +7,17 @@
 use quantmcu::models::Model;
 use quantmcu::quant::vdpc::PatchClass;
 use quantmcu::tensor::Bitwidth;
-use quantmcu::{DeploymentPlan, Planner, QuantMcuConfig};
+use quantmcu::{DeploymentPlan, Engine, SramBudget};
 use quantmcu_bench::{calibration, exec_dataset, exec_graph};
 
 fn main() {
     let ds = exec_dataset();
     let calib = calibration(&ds);
     for model in [Model::MobileNetV2, Model::McuNet] {
-        let graph = exec_graph(model);
-        let plan = Planner::new(QuantMcuConfig::paper())
-            .plan(&graph, &calib, quantmcu_bench::EXEC_SRAM)
-            .expect("plan");
+        let engine = Engine::builder(exec_graph(model))
+            .sram_budget(SramBudget::new(quantmcu_bench::EXEC_SRAM))
+            .build();
+        let plan = engine.plan(&calib).expect("plan");
         println!("\nFig 6: bitwidth assignment for {model}\n");
         print_assignment(&plan);
     }

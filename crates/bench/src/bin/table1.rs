@@ -13,7 +13,7 @@ use quantmcu::nn::cost::BitwidthAssignment;
 use quantmcu::nn::{init, GraphSpec};
 use quantmcu::patch::baselines::{cipolletta, layer_based, mcunetv2, rnnpool};
 use quantmcu::tensor::Bitwidth;
-use quantmcu::{Planner, QuantMcuConfig};
+use quantmcu::{Engine, SramBudget};
 use quantmcu_bench::{header, kb, mbitops, ms, row, SEED};
 
 const WIDTHS: [usize; 4] = [18, 14, 12, 12];
@@ -81,9 +81,8 @@ fn run_block(spec: &GraphSpec, device: &Device) {
     let graph = init::with_structured_weights(spec.clone(), SEED);
     let res = spec.input_shape().h;
     let calib = ClassificationDataset::new(res, 10, SEED).images(2);
-    let plan = Planner::new(QuantMcuConfig::paper())
-        .plan(&graph, &calib, device.sram_bytes)
-        .expect("plannable");
+    let engine = Engine::builder(graph).sram_budget(SramBudget::of_device(device)).build();
+    let plan = engine.plan(calib).expect("plannable");
     let q_lat = plan.latency(device).expect("valid plan");
     print("QuantMCU", plan.peak_memory_bytes().expect("valid plan"), plan.bitops(), q_lat);
 }

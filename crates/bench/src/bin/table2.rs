@@ -60,13 +60,14 @@ fn main() {
     // patch-based deployment) — Table II's row is the method, not bare
     // VDQS, whose unprotected collapse is exactly the Fig. 4 ablation.
     // A bare-VDQS variant is reported on the next line for contrast.
-    let plan = quantmcu::Planner::new(quantmcu::QuantMcuConfig::paper())
-        .plan(&graph, &calib, quantmcu_bench::EXEC_SRAM)
-        .expect("plan");
+    let engine = quantmcu::Engine::builder(std::sync::Arc::clone(&graph))
+        .sram_budget(quantmcu_bench::EXEC_SRAM)
+        .build();
+    let plan = engine.plan(&calib).expect("plan");
     let q_time = plan.search_time();
     let q_bitops = plan.bitops();
     let q_mem = plan.peak_memory_bytes().expect("plan memory");
-    let fidelity = quantmcu_bench::deployment_fidelity(&graph, plan, &eval).expect("deployment");
+    let fidelity = quantmcu_bench::deployment_fidelity(&engine, plan, &eval).expect("deployment");
     let top1 = ProjectedAccuracy::new(PaperAnchors::imagenet_top1(Model::MobileNetV2), fidelity);
     println!(
         "{}",

@@ -10,7 +10,7 @@ use quantmcu::models::Model;
 use quantmcu::nn::exec::FloatExecutor;
 use quantmcu::quant::VdqsConfig;
 use quantmcu::tensor::Tensor;
-use quantmcu::{Deployment, Planner, QuantMcuConfig};
+use quantmcu::{Engine, QuantMcuConfig, SramBudget};
 use quantmcu_bench::{calibration, evaluation, exec_dataset, exec_graph, header, row};
 
 const WIDTHS: [usize; 4] = [8, 10, 12, 10];
@@ -28,10 +28,14 @@ fn main() {
     for lambda in [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8] {
         let cfg =
             QuantMcuConfig { vdqs: VdqsConfig::with_lambda(lambda), ..QuantMcuConfig::paper() };
-        let plan = Planner::new(cfg).plan(&graph, &calib, quantmcu_bench::EXEC_SRAM).expect("plan");
+        let engine = Engine::builder(std::sync::Arc::clone(&graph))
+            .config(cfg)
+            .sram_budget(SramBudget::new(quantmcu_bench::EXEC_SRAM))
+            .build();
+        let plan = engine.plan(&calib).expect("plan");
         let bitops = plan.bitops();
         let mean_bits = plan.mean_branch_bits();
-        let deployment = Deployment::new(std::sync::Arc::clone(&graph), plan).expect("deploy");
+        let deployment = engine.deploy(plan).expect("deploy");
         let quant = deployment.session().run_batch(&eval).expect("run");
         let fidelity = agreement_top1(&float, &quant);
         let top1 =

@@ -1,10 +1,10 @@
 //! Shared harness for the experiment binaries that regenerate the paper's
 //! tables and figures.
 //!
-//! Each `src/bin/*.rs` binary corresponds to one table or figure (see
-//! DESIGN.md §4); this library holds the wiring they share: standard
-//! seeds, dataset/graph construction, fidelity measurement and table
-//! formatting.
+//! Each `src/bin/*.rs` binary corresponds to one table or figure (the
+//! repository README lists them); this library holds the wiring they
+//! share: standard seeds, dataset/graph construction, fidelity
+//! measurement and table formatting.
 
 use quantmcu::data::classification::ClassificationDataset;
 use quantmcu::data::metrics::agreement_top1;
@@ -12,7 +12,7 @@ use quantmcu::models::{Model, ModelConfig};
 use quantmcu::nn::exec::FloatExecutor;
 use quantmcu::nn::{init, Graph};
 use quantmcu::tensor::Tensor;
-use quantmcu::{Deployment, DeploymentPlan, Error};
+use quantmcu::{DeploymentPlan, Engine, Error};
 
 /// The seed every experiment derives its weights and data from, so tables
 /// are reproducible run to run.
@@ -41,7 +41,7 @@ pub fn eval_images() -> usize {
 }
 
 /// SRAM budget for exec-scale experiments. Exec-scale activations are a
-/// few kilobytes, so 8 KB plays the role 256 KB plays for the real
+/// few kilobytes, so 16 KiB plays the role 256 KB plays for the real
 /// MCU-scale models: it forces a non-trivial patch stage and makes the
 /// Eq. (7) repair loop do real work.
 pub const EXEC_SRAM: usize = 16 * 1024;
@@ -72,19 +72,19 @@ pub fn evaluation(ds: &ClassificationDataset) -> Vec<Tensor> {
     (CALIB_IMAGES..CALIB_IMAGES + eval_images()).map(|i| ds.sample(i).0).collect()
 }
 
-/// Top-1 agreement of a deployment against the float model over `inputs`.
+/// Top-1 agreement of `plan`, deployed through `engine`, against the
+/// engine's float model over `inputs`.
 ///
 /// # Errors
 ///
-/// Propagates deployment execution errors.
+/// Propagates deployment and execution errors.
 pub fn deployment_fidelity(
-    graph: &std::sync::Arc<Graph>,
+    engine: &Engine,
     plan: DeploymentPlan,
     inputs: &[Tensor],
 ) -> Result<f64, Error> {
-    let deployment = Deployment::new(std::sync::Arc::clone(graph), plan)?;
-    let quant = deployment.session().run_batch(inputs)?;
-    let mut float_exec = FloatExecutor::new(graph);
+    let quant = engine.deploy(plan)?.session().run_batch(inputs)?;
+    let mut float_exec = FloatExecutor::new(engine.graph().as_ref());
     let float: Vec<Tensor> = inputs
         .iter()
         .map(|t| float_exec.run(t))

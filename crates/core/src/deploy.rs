@@ -11,7 +11,7 @@ use quantmcu_patch::{PatchExecutor, PatchOutput, PatchState};
 use quantmcu_tensor::{QuantParams, Tensor};
 
 use crate::artifact::{graph_fingerprint, ArtifactError, PlanArtifact};
-use crate::error::Error;
+use crate::error::{Error, PlanError};
 use crate::plan::DeploymentPlan;
 
 /// An executable QuantMCU deployment: quantized patch branches plus a
@@ -67,16 +67,13 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Compiles a plan into a runnable deployment over `graph` (owned or
-    /// already shared — anything convertible into an `Arc<Graph>`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Plan`] when the plan's quantization metadata
-    /// cannot be materialized (degenerate calibration ranges), or
-    /// [`Error::Patch`] when the plan's split does not fit the graph.
-    pub fn new(graph: impl Into<Arc<Graph>>, plan: DeploymentPlan) -> Result<Self, Error> {
-        let graph: Arc<Graph> = graph.into();
+    /// Compiles a plan into a runnable deployment over `graph` — the
+    /// compile step behind [`crate::Engine::deploy`]. A plan made for a
+    /// different graph spec is rejected before anything is compiled.
+    pub(crate) fn new(graph: Arc<Graph>, plan: DeploymentPlan) -> Result<Self, Error> {
+        if plan.spec() != graph.spec() {
+            return Err(PlanError::SpecMismatch.into());
+        }
         let branch_params = Deployment::branch_params_for(&plan)?;
         let tail = CompiledGraph::with_quantization(
             Deployment::tail_graph(&graph, &plan)?,
@@ -273,7 +270,7 @@ impl<D: Borrow<Deployment>> Session<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Planner, QuantMcuConfig, SramBudget};
+    use crate::{Engine, QuantMcuConfig, SramBudget};
     use quantmcu_nn::exec::FloatExecutor;
     use quantmcu_nn::{init, GraphSpecBuilder};
     use quantmcu_patch::PatchError;
@@ -310,9 +307,8 @@ mod tests {
     #[test]
     fn deployment_runs_and_tracks_float() {
         let g = graph();
-        let calib = inputs(4);
-        let plan = Planner::new(QuantMcuConfig::paper()).plan(&g, &calib, 256 * 1024).unwrap();
-        let dep = Deployment::new(g.clone(), plan).unwrap();
+        let engine = Engine::builder(g.clone()).sram_budget(SramBudget::kib(256)).build();
+        let dep = engine.deploy(engine.plan(inputs(4)).unwrap()).unwrap();
         let test = inputs(8);
         let quant_outs = dep.session().run_batch(&test).unwrap();
         let mut float_exec = FloatExecutor::new(&g);
@@ -389,13 +385,16 @@ mod tests {
 
     #[test]
     fn vdpc_plan_is_at_least_as_faithful_as_no_vdpc() {
-        let g = graph();
+        let g = Arc::new(graph());
         let calib = inputs(4);
         let test = inputs(10);
         let mut float_exec = FloatExecutor::new(&g);
         let mut fidelity = |cfg: QuantMcuConfig| -> usize {
-            let plan = Planner::new(cfg).plan(&g, &calib, 256 * 1024).unwrap();
-            let dep = Deployment::new(g.clone(), plan).unwrap();
+            let engine = Engine::builder(Arc::clone(&g))
+                .config(cfg)
+                .sram_budget(SramBudget::kib(256))
+                .build();
+            let dep = engine.deploy(engine.plan(&calib).unwrap()).unwrap();
             let mut session = dep.session();
             test.iter()
                 .filter(|t| {

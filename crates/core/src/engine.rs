@@ -1,8 +1,7 @@
-//! The owned serving entry point: [`Engine`] plans and deploys over an
-//! [`Arc<Graph>`], replacing the borrow-everything
-//! `Planner::new(cfg).plan(graph, &images, bytes)` call shape for
-//! serving-style callers (the [`crate::Planner`] façade remains for the
-//! paper-reproduction binaries).
+//! The front door: [`Engine`] is the one public way to plan and deploy.
+//! It owns the graph behind an [`Arc<Graph>`], gates every entry point on
+//! the static analyzer, and compiles plans into shareable
+//! [`Deployment`]s.
 
 use std::sync::Arc;
 
@@ -14,8 +13,8 @@ use crate::analysis::AnalysisConfig;
 use crate::calibration::CalibrationSource;
 use crate::config::QuantMcuConfig;
 use crate::deploy::Deployment;
-use crate::error::Error;
-use crate::pipeline::Planner;
+use crate::error::{Error, PlanError};
+use crate::pipeline;
 use crate::plan::DeploymentPlan;
 
 /// A typed SRAM budget (Eq. 7's `M`), replacing the bare `usize` byte
@@ -227,7 +226,9 @@ impl Engine {
     ) -> Result<DeploymentPlan, Error> {
         self.verify()?;
         let images = calibration.into_images();
-        Ok(Planner::new(self.cfg.clone()).plan(&self.graph, &images, self.budget.bytes())?)
+        let (plan, _) =
+            pipeline::plan_with_stats(&self.cfg, &self.graph, &images, self.budget.bytes())?;
+        Ok(plan)
     }
 
     /// Plans one deployment per budget in `budgets` (in order), sharing
@@ -251,10 +252,7 @@ impl Engine {
         calibration: impl CalibrationSource<'a>,
         budgets: &[SramBudget],
     ) -> Result<Vec<DeploymentPlan>, Error> {
-        self.verify_for_sweep(budgets)?;
-        let images = calibration.into_images();
-        let bytes: Vec<usize> = budgets.iter().map(|b| b.bytes()).collect();
-        Ok(Planner::new(self.cfg.clone()).plan_sweep(&self.graph, &images, &bytes)?)
+        Ok(self.plan_sweep_each(calibration, budgets)?.into_iter().collect::<Result<_, _>>()?)
     }
 
     /// [`Engine::plan_sweep`] with per-budget outcomes: a budget whose
@@ -270,25 +268,13 @@ impl Engine {
         &self,
         calibration: impl CalibrationSource<'a>,
         budgets: &[SramBudget],
-    ) -> Result<Vec<Result<DeploymentPlan, crate::error::PlanError>>, Error> {
-        self.verify_for_sweep(budgets)?;
+    ) -> Result<Vec<Result<DeploymentPlan, PlanError>>, Error> {
+        // The widest rung (the engine's own budget for an empty ladder),
+        // so one tight rung cannot veto the whole sweep.
+        self.verify_at(budgets.iter().copied().max().unwrap_or(self.budget))?;
         let images = calibration.into_images();
         let bytes: Vec<usize> = budgets.iter().map(|b| b.bytes()).collect();
-        Ok(Planner::new(self.cfg.clone()).plan_sweep_each(&self.graph, &images, &bytes)?)
-    }
-
-    /// Sweep-time verification: the analyzer's budget-feasibility checks
-    /// run against the widest swept budget (falling back to the engine's
-    /// own when `budgets` is empty) so one tight rung cannot veto the
-    /// whole sweep.
-    fn verify_for_sweep(&self, budgets: &[SramBudget]) -> Result<(), Error> {
-        let widest = budgets.iter().copied().max().unwrap_or(self.budget);
-        let cfg = AnalysisConfig::for_engine(&self.cfg, widest);
-        let report = crate::analysis::analyze(&self.graph, &cfg);
-        if report.has_errors() {
-            return Err(Error::Analysis(report));
-        }
-        Ok(())
+        Ok(pipeline::plan_sweep_each(&self.cfg, &self.graph, &images, &bytes)?)
     }
 
     /// Builds a *uniform* plan at `bits` over the same patch schedule —
@@ -305,12 +291,7 @@ impl Engine {
     ) -> Result<DeploymentPlan, Error> {
         self.verify()?;
         let images = calibration.into_images();
-        Ok(Planner::new(self.cfg.clone()).plan_uniform(
-            &self.graph,
-            &images,
-            bits,
-            self.budget.bytes(),
-        )?)
+        Ok(pipeline::plan_uniform(&self.cfg, &self.graph, &images, bits, self.budget.bytes())?)
     }
 
     /// Compiles `plan` into an owned, `Send + Sync` [`Deployment`]
@@ -320,9 +301,11 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`Error::Analysis`] when the static analyzer rejects the
-    /// graph, [`Error::Plan`] when the plan's quantization metadata
-    /// cannot be materialized (degenerate calibration ranges), or
-    /// [`Error::Patch`] when the plan does not fit the graph.
+    /// graph; [`Error::Plan`] carrying [`PlanError::SpecMismatch`] when
+    /// the plan was made for a different graph spec, or another
+    /// [`PlanError`] when the plan's quantization metadata cannot be
+    /// materialized (degenerate calibration ranges); or [`Error::Patch`]
+    /// when the plan does not fit the graph.
     pub fn deploy(&self, plan: DeploymentPlan) -> Result<Deployment, Error> {
         self.verify()?;
         Deployment::new(Arc::clone(&self.graph), plan)
@@ -394,7 +377,12 @@ impl Engine {
     /// Returns [`Error::Analysis`] carrying the full diagnostic report
     /// when any error-severity diagnostic fires.
     pub fn verify(&self) -> Result<(), Error> {
-        let cfg = AnalysisConfig::for_engine(&self.cfg, self.budget);
+        self.verify_at(self.budget)
+    }
+
+    /// The one analyzer gate: strict analysis against `budget`.
+    fn verify_at(&self, budget: SramBudget) -> Result<(), Error> {
+        let cfg = AnalysisConfig::for_engine(&self.cfg, budget);
         let report = crate::analysis::analyze(&self.graph, &cfg);
         if report.has_errors() {
             return Err(Error::Analysis(report));
@@ -518,10 +506,9 @@ mod tests {
         let g = graph();
         let engine = Engine::builder(g.clone()).sram_budget(SramBudget::kib(256)).build();
         let via_engine = engine.plan(calib(4)).unwrap().timeless();
-        let via_planner = Planner::new(QuantMcuConfig::paper())
-            .plan(&g, &calib(4), 256 * 1024)
-            .unwrap()
-            .timeless();
+        let (via_planner, _) =
+            pipeline::plan_with_stats(&QuantMcuConfig::paper(), &g, &calib(4), 256 * 1024).unwrap();
+        let via_planner = via_planner.timeless();
         assert_eq!(via_engine, via_planner);
     }
 

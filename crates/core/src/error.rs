@@ -150,6 +150,9 @@ pub enum PlanError {
     Graph(GraphError),
     /// The calibration set is empty.
     NoCalibration,
+    /// The plan was made for a different graph spec than the one it is
+    /// being deployed on.
+    SpecMismatch,
 }
 
 impl fmt::Display for PlanError {
@@ -159,6 +162,7 @@ impl fmt::Display for PlanError {
             PlanError::Quant(e) => write!(f, "quantization search failed: {e}"),
             PlanError::Graph(e) => write!(f, "graph error: {e}"),
             PlanError::NoCalibration => write!(f, "calibration set is empty"),
+            PlanError::SpecMismatch => write!(f, "plan was made for a different graph spec"),
         }
     }
 }
@@ -169,7 +173,7 @@ impl std::error::Error for PlanError {
             PlanError::Patch(e) => Some(e),
             PlanError::Quant(e) => Some(e),
             PlanError::Graph(e) => Some(e),
-            PlanError::NoCalibration => None,
+            PlanError::NoCalibration | PlanError::SpecMismatch => None,
         }
     }
 }

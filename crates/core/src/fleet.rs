@@ -6,7 +6,8 @@
 //! device, budget) combinations; provisioning a real fleet asks the dual
 //! question — *given these networks and these boards, which budget rungs
 //! are worth deploying?* [`plan_fleet`] answers it by sweeping each
-//! model's budget ladder through [`Planner::plan_sweep_each`] (so all
+//! model's budget ladder through the same sweep engine as
+//! [`Engine::plan_sweep_each`](crate::Engine::plan_sweep_each) (so all
 //! budgets sharing a patch split also share one calibration prologue, one
 //! VDPC pass and one set of entropy/score tables), evaluating every plan
 //! on every device's latency model, and flagging the points on the
@@ -16,7 +17,9 @@
 //! Plans are device-independent (the search depends only on the budget),
 //! so the grid costs `models × budgets` searches — not
 //! `models × devices × budgets` — and each plan is bit-identical to an
-//! independent [`Planner::plan`] call at its budget.
+//! independent [`Engine::plan`](crate::Engine::plan) call at its budget.
+//! Unlike the engine, the grid runs no static analysis: a rung the
+//! planner cannot satisfy lands in [`FleetReport::failures`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,7 +31,7 @@ use quantmcu_tensor::Tensor;
 use crate::config::QuantMcuConfig;
 use crate::engine::SramBudget;
 use crate::error::PlanError;
-use crate::pipeline::Planner;
+use crate::pipeline;
 use crate::plan::DeploymentPlan;
 
 /// One network in the fleet: a display name, the graph, and its
@@ -86,8 +89,7 @@ pub struct FleetFailure {
     pub model: String,
     /// The failed budget.
     pub budget: SramBudget,
-    /// Why — the same error an independent [`Planner::plan`] call at this
-    /// budget produces.
+    /// Why the budget could not plan, or its plan could not be evaluated.
     pub error: PlanError,
 }
 
@@ -128,11 +130,10 @@ pub fn plan_fleet(
     devices: &[Device],
     budgets: &[SramBudget],
 ) -> Result<FleetReport, PlanError> {
-    let planner = Planner::new(cfg.clone());
     let bytes: Vec<usize> = budgets.iter().map(|b| b.bytes()).collect();
     let mut report = FleetReport::default();
     for model in models {
-        let outcomes = planner.plan_sweep_each(&model.graph, &model.calibration, &bytes)?;
+        let outcomes = pipeline::plan_sweep_each(cfg, &model.graph, &model.calibration, &bytes)?;
         let mut plans: Vec<(SramBudget, DeploymentPlan)> = Vec::with_capacity(outcomes.len());
         for (outcome, &budget) in outcomes.into_iter().zip(budgets) {
             match outcome {
@@ -286,9 +287,9 @@ mod tests {
         let models = vec![FleetModel::new("net-a", graph(31), calib(3))];
         let dev = Device::nano33_ble_sense();
         let report = plan_fleet(&QuantMcuConfig::paper(), &models, &[dev], &budgets).unwrap();
-        let plan = Planner::new(QuantMcuConfig::paper())
-            .plan(&models[0].graph, &models[0].calibration, budgets[0].bytes())
-            .unwrap();
+        let engine =
+            crate::Engine::builder(Arc::clone(&models[0].graph)).sram_budget(budgets[0]).build();
+        let plan = engine.plan(&models[0].calibration).unwrap();
         let p = &report.points[0];
         assert_eq!(p.bitops, plan.bitops());
         assert_eq!(p.peak_bytes, plan.peak_memory_bytes().unwrap());

@@ -102,9 +102,10 @@
 //! loads surface as typed [`Error::Artifact`] values; loading never
 //! panics.
 //!
-//! The borrow-based [`Planner`] façade
-//! (`Planner::new(cfg).plan(&graph, &images, bytes)`) remains for the
-//! paper-reproduction binaries; it produces the same plans bit for bit.
+//! [`Engine`] is the only way to plan and deploy. [`Planner`] keeps one
+//! call, [`Planner::plan_with_stats`]: an ungated single-budget plan with
+//! its per-stage timings ([`PlanStats`]), bit-identical to
+//! [`Engine::plan`], for benchmarks that time the pipeline stages.
 //! Every fallible call on the serving surface returns the single
 //! [`Error`] type, whose `#[non_exhaustive]` variants wrap the subsystem
 //! errors.

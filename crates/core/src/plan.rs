@@ -79,7 +79,7 @@ impl DeploymentPlan {
     /// the calibration set through the network) is **excluded**: it is
     /// data preparation every method pays alike, and folding it in made
     /// the reported search cost scale with calibration-set size.
-    /// [`crate::Planner::plan_uniform`] performs no search, so uniform
+    /// [`crate::Engine::plan_uniform`] performs no search, so uniform
     /// plans report zero.
     #[must_use]
     pub fn search_time(&self) -> Duration {
@@ -112,7 +112,7 @@ impl DeploymentPlan {
     ///
     /// # Panics
     ///
-    /// Never panics for plans produced by [`crate::Planner`].
+    /// Never panics for plans produced by [`crate::Engine`].
     pub fn head(&self) -> GraphSpec {
         self.spec.split_at(self.patch_plan.split_at()).expect("validated split").0
     }
@@ -121,7 +121,7 @@ impl DeploymentPlan {
     ///
     /// # Panics
     ///
-    /// Never panics for plans produced by [`crate::Planner`].
+    /// Never panics for plans produced by [`crate::Engine`].
     pub fn tail(&self) -> GraphSpec {
         self.spec.split_at(self.patch_plan.split_at()).expect("validated split").1
     }

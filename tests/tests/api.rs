@@ -6,6 +6,7 @@
 use quantmcu::data::metrics::agreement_top1;
 use quantmcu::mcusim::Device;
 use quantmcu::models::{Model, ModelConfig};
+use quantmcu::nn::init;
 use quantmcu::tensor::Bitwidth;
 use quantmcu::{
     CalibrationStream, Deployment, DeploymentPlan, Engine, Error, PlanError, Planner,
@@ -53,13 +54,15 @@ fn calibration_sources_are_interchangeable() {
     assert_eq!(from_slice, from_dataset);
 }
 
-/// The `Planner` façade (kept for the paper-reproduction binaries)
-/// produces bit-identical plans to the `Engine` front door.
+/// `Planner`'s one call — the ungated, stats-reporting single-budget
+/// plan that benchmarks cross-check the engine with — produces
+/// bit-identical plans to the `Engine` front door.
 #[test]
 fn planner_facade_matches_engine() {
     let g = graph(Model::McuNet);
-    let via_planner =
-        Planner::new(QuantMcuConfig::default()).plan(&g, &calib(4), 16 * 1024).unwrap().timeless();
+    let (via_planner, _) =
+        Planner::new(QuantMcuConfig::default()).plan_with_stats(&g, &calib(4), 16 * 1024).unwrap();
+    let via_planner = via_planner.timeless();
     let engine = Engine::builder(g).sram_budget(SramBudget::kib(16)).build();
     let via_engine = engine.plan(calib(4)).unwrap().timeless();
     assert_eq!(via_planner, via_engine);
@@ -101,8 +104,23 @@ fn facade_unifies_errors() {
     let err = result.unwrap_err();
     assert!(matches!(err, Error::Analysis(_)));
     assert!(!err.to_string().is_empty());
-    // The façade's own error still resolves for legacy callers.
-    let legacy: Result<DeploymentPlan, PlanError> =
-        Planner::new(QuantMcuConfig::default()).plan(&graph(Model::MobileNetV2), &calib(2), 8);
-    assert!(legacy.is_err());
+    // Planning failures surface as `Error::Plan` carrying the
+    // planner's own `PlanError`.
+    let err = Engine::new(graph(Model::MobileNetV2)).plan(Vec::new()).unwrap_err();
+    assert!(matches!(err, Error::Plan(PlanError::NoCalibration)));
+}
+
+/// `Engine::deploy` rejects a plan made for a different graph spec
+/// before compiling anything: here a 32×32 plan deployed on an engine
+/// over the same model at 48×48.
+#[test]
+fn deploy_rejects_a_plan_for_another_spec() {
+    let engine =
+        Engine::builder(graph(Model::MobileNetV2)).sram_budget(SramBudget::kib(16)).build();
+    let plan = engine.plan(calib(2)).unwrap();
+    let cfg = ModelConfig { resolution: 48, ..ModelConfig::exec_scale() };
+    let spec = Model::MobileNetV2.spec(cfg).unwrap();
+    let other = Engine::new(init::with_structured_weights(spec, 0));
+    let err = other.deploy(plan).unwrap_err();
+    assert!(matches!(err, Error::Plan(PlanError::SpecMismatch)), "{err:?}");
 }

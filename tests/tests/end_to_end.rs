@@ -6,15 +6,19 @@ use quantmcu::mcusim::Device;
 use quantmcu::models::Model;
 use quantmcu::nn::exec::FloatExecutor;
 use quantmcu::tensor::{Bitwidth, Tensor};
-use quantmcu::{Deployment, Planner, QuantMcuConfig};
+use quantmcu::{Engine, QuantMcuConfig, SramBudget};
 use quantmcu_integration::{calib, eval, graph};
 
-const SRAM: usize = 16 * 1024;
+const SRAM: SramBudget = SramBudget::kib(16);
+
+/// An engine over `model` with the paper configuration at [`SRAM`].
+fn engine(model: Model) -> Engine {
+    Engine::builder(graph(model)).sram_budget(SRAM).build()
+}
 
 #[test]
 fn quantmcu_reduces_bitops_below_the_8bit_patch_baseline() {
-    let g = graph(Model::MobileNetV2);
-    let plan = Planner::new(QuantMcuConfig::paper()).plan(&g, &calib(6), SRAM).unwrap();
+    let plan = engine(Model::MobileNetV2).plan(calib(6)).unwrap();
     let reduction = plan.baseline_patch_bitops() as f64 / plan.bitops() as f64;
     // The paper reports 2.2x on average; exec-scale maps are small enough
     // that the tiny-map 8-bit pinning caps the headroom (MCU-scale runs in
@@ -25,11 +29,10 @@ fn quantmcu_reduces_bitops_below_the_8bit_patch_baseline() {
 
 #[test]
 fn quantmcu_latency_beats_uniform_8bit_patching() {
-    let g = graph(Model::MobileNetV2);
-    let planner = Planner::new(QuantMcuConfig::paper());
+    let engine = engine(Model::MobileNetV2);
     let device = Device::nano33_ble_sense();
-    let quant = planner.plan(&g, &calib(6), SRAM).unwrap();
-    let uniform = planner.plan_uniform(&g, &calib(6), Bitwidth::W8, SRAM).unwrap();
+    let quant = engine.plan(calib(6)).unwrap();
+    let uniform = engine.plan_uniform(calib(6), Bitwidth::W8).unwrap();
     let t_quant = quant.latency(&device).unwrap();
     let t_uniform = uniform.latency(&device).unwrap();
     assert!(t_quant < t_uniform, "quantized {t_quant:?} should beat uniform {t_uniform:?}");
@@ -37,10 +40,9 @@ fn quantmcu_latency_beats_uniform_8bit_patching() {
 
 #[test]
 fn quantmcu_memory_at_or_below_uniform_8bit_patching() {
-    let g = graph(Model::MobileNetV2);
-    let planner = Planner::new(QuantMcuConfig::paper());
-    let quant = planner.plan(&g, &calib(6), SRAM).unwrap();
-    let uniform = planner.plan_uniform(&g, &calib(6), Bitwidth::W8, SRAM).unwrap();
+    let engine = engine(Model::MobileNetV2);
+    let quant = engine.plan(calib(6)).unwrap();
+    let uniform = engine.plan_uniform(calib(6), Bitwidth::W8).unwrap();
     assert!(
         quant.peak_memory_bytes().unwrap() <= uniform.peak_memory_bytes().unwrap(),
         "quantized plan must not need more SRAM than the uniform plan"
@@ -51,12 +53,11 @@ fn quantmcu_memory_at_or_below_uniform_8bit_patching() {
 fn deployed_accuracy_stays_close_to_float() {
     // The paper's headline accuracy claim: QuantMCU loses under one point.
     // At exec scale, demand >= 90% top-1 agreement with the float model.
-    let g = graph(Model::MobileNetV2);
-    let plan = Planner::new(QuantMcuConfig::paper()).plan(&g, &calib(6), SRAM).unwrap();
-    let deployment = Deployment::new(g.clone(), plan).unwrap();
+    let engine = engine(Model::MobileNetV2);
+    let deployment = engine.deploy(engine.plan(calib(6)).unwrap()).unwrap();
     let inputs = eval(24);
     let quant = deployment.session().run_batch(&inputs).unwrap();
-    let mut float_exec = FloatExecutor::new(&g);
+    let mut float_exec = FloatExecutor::new(engine.graph().as_ref());
     let float: Vec<Tensor> = inputs.iter().map(|t| float_exec.run(t).unwrap()).collect();
     let fidelity = agreement_top1(&float, &quant);
     assert!(fidelity >= 0.8, "fidelity {fidelity}");
@@ -65,20 +66,17 @@ fn deployed_accuracy_stays_close_to_float() {
 #[test]
 fn search_finishes_in_seconds_not_minutes() {
     // Table II's claim: the search costs ~0.5 min where RL takes 90.
-    let g = graph(Model::MobileNetV2);
-    let plan = Planner::new(QuantMcuConfig::paper()).plan(&g, &calib(6), SRAM).unwrap();
+    let plan = engine(Model::MobileNetV2).plan(calib(6)).unwrap();
     assert!(plan.search_time().as_secs_f64() < 60.0, "search took {:?}", plan.search_time());
 }
 
 #[test]
 fn pipeline_works_across_the_model_zoo() {
     for model in [Model::McuNet, Model::ResNet18, Model::SqueezeNet] {
-        let g = graph(model);
-        let plan = Planner::new(QuantMcuConfig::paper())
-            .plan(&g, &calib(4), SRAM)
-            .unwrap_or_else(|e| panic!("{model}: {e}"));
+        let engine = engine(model);
+        let plan = engine.plan(calib(4)).unwrap_or_else(|e| panic!("{model}: {e}"));
         assert!(plan.bitops() <= plan.baseline_patch_bitops(), "{model}");
-        let deployment = Deployment::new(g.clone(), plan).unwrap();
+        let deployment = engine.deploy(plan).unwrap();
         let out = deployment.session().run(&eval(1)[0]).unwrap();
         assert!(out.data().iter().all(|v| v.is_finite()), "{model}");
     }
@@ -91,8 +89,8 @@ fn ablation_never_beats_protected_plan_on_fidelity() {
     let mut float_exec = FloatExecutor::new(&g);
     let float: Vec<Tensor> = inputs.iter().map(|t| float_exec.run(t).unwrap()).collect();
     let fidelity = |cfg: QuantMcuConfig| {
-        let plan = Planner::new(cfg).plan(&g, &calib(6), SRAM).unwrap();
-        let dep = Deployment::new(std::sync::Arc::clone(&g), plan).unwrap();
+        let engine = Engine::builder(g.clone()).config(cfg).sram_budget(SRAM).build();
+        let dep = engine.deploy(engine.plan(calib(6)).unwrap()).unwrap();
         agreement_top1(&float, &dep.session().run_batch(&inputs).unwrap())
     };
     let protected = fidelity(QuantMcuConfig::paper());

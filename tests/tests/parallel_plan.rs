@@ -1,12 +1,12 @@
-//! Determinism of the parallel planner: `Planner::plan` (and
+//! Determinism of the parallel planner: `Engine::plan` (and
 //! `plan_uniform`) must produce a **bit-identical** `DeploymentPlan` for
-//! every worker count. The parallel calibration prologue merges
+//! every planning worker count (`EngineBuilder::workers`). The parallel calibration prologue merges
 //! per-chunk value samples in image order, so nothing downstream — VDPC
 //! classification, entropy tables, the VDQS searches, the calibrated
 //! ranges — can observe which worker count produced its inputs.
 
 use quantmcu::tensor::{Bitwidth, Shape, Tensor};
-use quantmcu::{Planner, QuantMcuConfig};
+use quantmcu::{Engine, SramBudget};
 
 fn graph() -> quantmcu::nn::Graph {
     let spec = quantmcu::nn::GraphSpecBuilder::new(Shape::hwc(16, 16, 3))
@@ -41,31 +41,26 @@ fn calib(n: usize) -> Vec<Tensor> {
         .collect()
 }
 
-fn planner(workers: usize) -> Planner {
-    Planner::new(QuantMcuConfig { workers, ..QuantMcuConfig::paper() })
+fn engine(workers: usize) -> Engine {
+    Engine::builder(graph()).sram_budget(SramBudget::kib(256)).workers(workers).build()
 }
 
 #[test]
 fn parallel_plan_is_bit_identical_to_serial_for_any_worker_count() {
-    let g = graph();
     let images = calib(7);
-    let serial = planner(1).plan(&g, &images, 256 * 1024).unwrap().timeless();
+    let serial = engine(1).plan(&images).unwrap().timeless();
     for workers in [2, 3, 4, 7, 16] {
-        let parallel = planner(workers).plan(&g, &images, 256 * 1024).unwrap().timeless();
+        let parallel = engine(workers).plan(&images).unwrap().timeless();
         assert_eq!(serial, parallel, "worker count {workers} changed the plan");
     }
 }
 
 #[test]
 fn parallel_plan_uniform_is_bit_identical_to_serial() {
-    let g = graph();
     let images = calib(6);
-    let serial = planner(1).plan_uniform(&g, &images, Bitwidth::W8, 256 * 1024).unwrap().timeless();
+    let serial = engine(1).plan_uniform(&images, Bitwidth::W8).unwrap().timeless();
     for workers in [2, 4, 6] {
-        let parallel = planner(workers)
-            .plan_uniform(&g, &images, Bitwidth::W8, 256 * 1024)
-            .unwrap()
-            .timeless();
+        let parallel = engine(workers).plan_uniform(&images, Bitwidth::W8).unwrap().timeless();
         assert_eq!(serial, parallel, "worker count {workers} changed the uniform plan");
     }
 }
@@ -74,11 +69,10 @@ fn parallel_plan_uniform_is_bit_identical_to_serial() {
 fn ranges_and_classes_survive_odd_chunkings() {
     // Worker counts that do not divide the calibration set exercise the
     // ragged-final-chunk path of the chunked prologue.
-    let g = graph();
     let images = calib(5);
-    let serial = planner(1).plan(&g, &images, 256 * 1024).unwrap().timeless();
+    let serial = engine(1).plan(&images).unwrap().timeless();
     for workers in [2, 3, 4] {
-        let parallel = planner(workers).plan(&g, &images, 256 * 1024).unwrap().timeless();
+        let parallel = engine(workers).plan(&images).unwrap().timeless();
         assert_eq!(serial.branch_ranges(), parallel.branch_ranges());
         assert_eq!(serial.patch_classes(), parallel.patch_classes());
         assert_eq!(serial.branch_bits(), parallel.branch_bits());
