@@ -389,16 +389,22 @@ fn main() {
     };
     let float_ips = images.len() as f64 / float_t.as_secs_f64();
     let quant_ips = images.len() as f64 / quant_t.as_secs_f64();
+    // Absolute img/s moves with the host; the same-run ratio does not.
+    let quant_over_float = quant_ips / float_ips;
     println!("end-to-end (MobileNetV2 exec scale, {} images):", images.len());
     println!("  float  {float_ips:8.1} img/s");
     println!("  quant  {quant_ips:8.1} img/s (W8 activations, packed W8 weights)");
+    println!("  quant / float  {quant_over_float:.3}");
+    let host_parallelism = quantmcu::default_workers();
 
     let json = format!(
         "{{\n  \"bench\": \"kernel_throughput\",\n  \"kernel_generation\": \"{GENERATION}\",\n  \
+         \"host_parallelism\": {host_parallelism},\n  \
          \"reps\": {reps},\n  \"iters\": {iters},\n  \"ops\": [\n{}\n  ],\n  \
          \"end_to_end\": {{\"model\": \"MobileNetV2 (exec scale)\", \"images\": {}, \
          \"float_images_per_second\": {float_ips:.2}, \
-         \"quant_images_per_second\": {quant_ips:.2}}}\n}}\n",
+         \"quant_images_per_second\": {quant_ips:.2}, \
+         \"quant_over_float\": {quant_over_float:.4}}}\n}}\n",
         rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n"),
         images.len()
     );

@@ -133,8 +133,10 @@ fn main() {
     }
 
     let budgets_json: Vec<String> = budgets_kib.iter().map(|k| k.to_string()).collect();
+    let host_parallelism = quantmcu::default_workers();
     let json = format!(
         "{{\n  \"bench\": \"budget_sweep\",\n  \"model\": \"MobileNetV2 (exec scale)\",\n  \
+         \"host_parallelism\": {host_parallelism},\n  \
          \"calibration_images\": {images},\n  \"budgets_kib\": [{}],\n  \
          \"planned_rungs\": {planned},\n  \"patch_splits\": {},\n  \
          \"sweep_seconds\": {:.6},\n  \"independent_seconds\": {:.6},\n  \

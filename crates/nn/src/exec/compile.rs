@@ -19,9 +19,13 @@
 //! The float loop and the integer loop walk the graph in node order and
 //! evaluate each node over its full output region through the shared op
 //! dispatch ([`crate::exec::dispatch`]): the float loop with
-//! [`dispatch::float_node`], the integer loop with [`dispatch::weighted`]
-//! over [`PackedDot`] for weighted nodes and, for the rest, a dequantize →
-//! [`dispatch::value_preserving`] → requantize bracket.
+//! [`dispatch::float_node`]; the integer loop with [`dispatch::weighted`]
+//! over [`PackedDot`] for weighted nodes, with `dispatch::lowered` on the
+//! codes for the nodes compiled to code → code tables (Relu, Relu6,
+//! MaxPool and Concat over grids of at most 8 bits) and, for the rest, a
+//! dequantize → [`dispatch::value_preserving`] → requantize bracket. The
+//! tables are that same bracket evaluated once per input code at compile
+//! time, so both forms agree bit for bit.
 //!
 //! The [`FloatExecutor`](crate::exec::FloatExecutor) and
 //! [`QuantExecutor`](crate::exec::QuantExecutor) façades bundle the two
@@ -97,6 +101,10 @@ struct QuantTables {
     packed_weights: Vec<Vec<u8>>,
     node_quant: Vec<Option<NodeQuant>>,
     weight_bits: Bitwidth,
+    /// Code → code tables per input of each node the integer loop runs on
+    /// codes alone (see [`dispatch::code_tables`]); derived from
+    /// `act_params`, never persisted.
+    code_tables: Vec<Option<Vec<dispatch::CodeTable>>>,
 }
 
 /// A serializable snapshot of one weighted node's integer tables: the
@@ -267,12 +275,8 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                 zp_fold: ns.zp_fold,
             }));
         }
-        let quant = QuantTables {
-            act_params: state.act_params,
-            packed_weights,
-            node_quant,
-            weight_bits: state.weight_bits,
-        };
+        let quant =
+            QuantTables::new(spec, state.act_params, packed_weights, node_quant, state.weight_bits);
         let release_after = release_schedule(graph.borrow().spec());
         Ok(CompiledGraph { graph, release_after, quant: Some(quant) })
     }
@@ -522,9 +526,17 @@ impl<G: Borrow<Graph>> CompiledGraph<G> {
                 let in_shape = spec.feature_map_shape(FeatureMapId(in_fm));
                 let dot = qt.dot(i, in_fm, out_fm);
                 dispatch::weighted(&dot, node.op, input, in_shape, &mut qout, region);
+            } else if let Some(tables) = &qt.code_tables[i] {
+                let input = |k| {
+                    let fm = source_fm(node.inputs[k]);
+                    let q = qslots[fm].as_deref().expect("liveness keeps inputs alive");
+                    (q, spec.feature_map_shape(FeatureMapId(fm)))
+                };
+                dispatch::lowered(node, tables, input, &mut qout, out_shape, region);
             } else {
-                // Value-preserving ops: dequantize inputs into arena
-                // scratch, run the f32 dispatch, requantize.
+                // The remaining value-preserving ops (Add, the average
+                // pools, grids wider than 8 bits): dequantize inputs into
+                // arena scratch, run the f32 dispatch, requantize.
                 for &s in &node.inputs {
                     let fm = source_fm(s);
                     let shape = spec.feature_map_shape(FeatureMapId(fm));
@@ -632,7 +644,32 @@ impl QuantTables {
             packed_weights.push(pack::pack(&qw, weight_bits));
             node_quant.push(Some(NodeQuant { bias_q, acc_scale, zp_fold }));
         }
-        Ok(QuantTables { act_params, packed_weights, node_quant, weight_bits })
+        Ok(QuantTables::new(spec, act_params, packed_weights, node_quant, weight_bits))
+    }
+
+    /// Assembles the tables and derives the code → code tables from the
+    /// activation grids — the one step shared by quantizing from ranges
+    /// and restoring a [`QuantState`].
+    fn new(
+        spec: &GraphSpec,
+        act_params: Vec<QuantParams>,
+        packed_weights: Vec<Vec<u8>>,
+        node_quant: Vec<Option<NodeQuant>>,
+        weight_bits: Bitwidth,
+    ) -> Self {
+        let code_tables = spec
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                dispatch::code_tables(
+                    node,
+                    |k| act_params[source_fm(node.inputs[k])],
+                    act_params[i + 1],
+                )
+            })
+            .collect();
+        QuantTables { act_params, packed_weights, node_quant, weight_bits, code_tables }
     }
 
     /// Builds the integer kernel strategy for weighted node `i`: a
@@ -727,7 +764,9 @@ pub struct ExecState {
     slots: Vec<Option<Tensor>>,
     /// Live quantized feature maps, indexed by [`FeatureMapId`].
     qslots: Vec<Option<Vec<i32>>>,
-    /// Dequantized input scratch for value-preserving ops.
+    /// Dequantized input scratch for the value-preserving ops the integer
+    /// loop still brackets: Add, AvgPool, GlobalAvgPool, and any node
+    /// with a grid wider than 8 bits.
     scratch: Vec<Tensor>,
 }
 
@@ -1024,6 +1063,31 @@ mod tests {
             CompiledGraph::with_quant_state(&graph, bad_scale),
             Err(GraphError::QuantState { node: 0, .. })
         ));
+    }
+
+    #[test]
+    fn only_narrow_grids_are_lowered_to_code_tables() {
+        use Bitwidth::{W16, W8};
+        let spec =
+            GraphSpecBuilder::new(Shape::hwc(6, 6, 2)).relu6().max_pool(2, 2).build().unwrap();
+        let graph = init::with_structured_weights(spec, 4);
+        let ranges = vec![(-2.0, 7.0); 3];
+        let input = Tensor::from_fn(Shape::hwc(6, 6, 2), |i| (i as f32 * 0.7).sin() * 8.0);
+        let lowered = |bits: [Bitwidth; 3]| {
+            let c = CompiledGraph::with_quantization(&graph, &ranges, &bits, W8).unwrap();
+            let restored =
+                CompiledGraph::with_quant_state(&graph, c.quant_state().unwrap()).unwrap();
+            let mut state = ExecState::new();
+            assert_eq!(c.run_quant(&mut state, &input), restored.run_quant(&mut state, &input));
+            let tables = |c: &CompiledGraph<&Graph>| -> Vec<bool> {
+                c.quant.as_ref().unwrap().code_tables.iter().map(Option::is_some).collect()
+            };
+            assert_eq!(tables(&c), tables(&restored), "a restored state derives the same tables");
+            tables(&c)
+        };
+        assert_eq!(lowered([W8; 3]), [true, true]);
+        assert_eq!(lowered([W16, W8, W8]), [false, true]);
+        assert_eq!(lowered([W8, W8, W16]), [true, false]);
     }
 
     #[test]

@@ -651,16 +651,44 @@ pub fn dense<S: Dot>(s: &S, input: &[S::Elem], in_shape: Shape, out: &mut [S::El
     }
 }
 
-/// Max pooling (no padding) over `region` of the output map.
-pub fn max_pool(
-    input: &[f32],
+/// A feature-map element max pooling can compare: `f32` values on the
+/// float paths, `i32` grid codes in the integer executor.
+pub trait PoolElem: Copy {
+    /// The identity of [`PoolElem::max`], which seeds every window.
+    const LOWEST: Self;
+    /// The larger of two elements.
+    fn max(self, other: Self) -> Self;
+}
+
+impl PoolElem for f32 {
+    const LOWEST: f32 = f32::NEG_INFINITY;
+    #[inline]
+    fn max(self, other: f32) -> f32 {
+        f32::max(self, other)
+    }
+}
+
+impl PoolElem for i32 {
+    const LOWEST: i32 = i32::MIN;
+    #[inline]
+    fn max(self, other: i32) -> i32 {
+        Ord::max(self, other)
+    }
+}
+
+/// Max pooling (no padding) over `region` of the output map; each
+/// window's maximum is passed through `finish` (the float paths pass the
+/// identity, the integer executor a code → code table).
+pub fn max_pool<T: PoolElem>(
+    input: &[T],
     in_shape: Shape,
-    out: &mut [f32],
+    out: &mut [T],
     k: usize,
     stride: usize,
     region: Region,
+    finish: impl Fn(T) -> T,
 ) {
-    pool_impl(input, in_shape, out, k, stride, region, true)
+    pool_impl(input, in_shape, out, k, stride, region, T::LOWEST, T::max, finish)
 }
 
 /// Average pooling (no padding) over `region` of the output map.
@@ -672,17 +700,23 @@ pub fn avg_pool(
     stride: usize,
     region: Region,
 ) {
-    pool_impl(input, in_shape, out, k, stride, region, false)
+    let inv = 1.0 / (k * k) as f32;
+    pool_impl(input, in_shape, out, k, stride, region, 0.0, |a, b| a + b, |v| v * inv)
 }
 
-fn pool_impl(
-    input: &[f32],
+/// The pooling loop nest: every window of the output region folds its
+/// taps into `seed` with `fold`, then passes the result through `finish`.
+#[allow(clippy::too_many_arguments)]
+fn pool_impl<T: Copy>(
+    input: &[T],
     in_shape: Shape,
-    out: &mut [f32],
+    out: &mut [T],
     k: usize,
     stride: usize,
     region: Region,
-    is_max: bool,
+    seed: T,
+    fold: impl Fn(T, T) -> T,
+    finish: impl Fn(T) -> T,
 ) {
     debug_assert!(k > 0 && stride > 0, "degenerate pool window k={k} stride={stride}");
     debug_assert!(in_shape.h >= k && in_shape.w >= k, "pool window exceeds the input");
@@ -694,32 +728,22 @@ fn pool_impl(
     debug_assert_eq!(out.len(), os.len());
     let y_end = region.y_end().min(oh);
     let x_end = region.x_end().min(ow);
-    let inv = 1.0 / (k * k) as f32;
     for n in 0..in_shape.n {
         for oy in region.y..y_end {
             for ox in region.x..x_end {
                 let o_base = os.index(n, oy, ox, 0);
                 let cell = &mut out[o_base..o_base + c];
-                cell.fill(if is_max { f32::NEG_INFINITY } else { 0.0 });
+                cell.fill(seed);
                 for ky in 0..k {
                     for kx in 0..k {
                         let i_base = in_shape.index(n, oy * stride + ky, ox * stride + kx, 0);
-                        let row = &input[i_base..i_base + c];
-                        if is_max {
-                            for (o, &v) in cell.iter_mut().zip(row) {
-                                *o = o.max(v);
-                            }
-                        } else {
-                            for (o, &v) in cell.iter_mut().zip(row) {
-                                *o += v;
-                            }
+                        for (o, &v) in cell.iter_mut().zip(&input[i_base..i_base + c]) {
+                            *o = fold(*o, v);
                         }
                     }
                 }
-                if !is_max {
-                    for o in cell.iter_mut() {
-                        *o *= inv;
-                    }
+                for o in cell.iter_mut() {
+                    *o = finish(*o);
                 }
             }
         }
@@ -767,35 +791,40 @@ pub fn add(a: &[f32], b: &[f32], shape: Shape, out: &mut [f32], region: Region) 
 /// ReLU over `region`: `max(v, 0)` clamped at `hi` when `hi` is finite
 /// (ReLU6 passes `6.0`, plain ReLU `f32::INFINITY`).
 pub fn relu(input: &[f32], shape: Shape, out: &mut [f32], hi: f32, region: Region) {
-    debug_assert!(input.len() == shape.len() && out.len() == shape.len());
     debug_assert!(!hi.is_nan() && hi > 0.0, "relu upper bound must be positive");
+    if hi.is_finite() {
+        map(input, shape, out, region, |v| v.clamp(0.0, hi))
+    } else {
+        map(input, shape, out, region, |v| v.max(0.0))
+    }
+}
+
+/// Elementwise `out = f(input)` over `region` (the integer executor
+/// passes a code → code table).
+pub fn map<T: Copy>(input: &[T], shape: Shape, out: &mut [T], region: Region, f: impl Fn(T) -> T) {
+    debug_assert!(input.len() == shape.len() && out.len() == shape.len());
     for_row_runs(shape, region, |start, len| {
-        if hi.is_finite() {
-            for (o, &v) in out[start..start + len].iter_mut().zip(&input[start..start + len]) {
-                *o = v.clamp(0.0, hi);
-            }
-        } else {
-            for (o, &v) in out[start..start + len].iter_mut().zip(&input[start..start + len]) {
-                *o = v.max(0.0);
-            }
+        for (o, &v) in out[start..start + len].iter_mut().zip(&input[start..start + len]) {
+            *o = f(v);
         }
     });
 }
 
-/// Channel concatenation over `region`: each part's channels are copied
-/// into consecutive channel offsets of the output. Parts are consumed one
-/// at a time, so callers can stream them without materializing a slice of
-/// references.
-pub fn concat<'a>(
-    parts: impl IntoIterator<Item = (&'a [f32], Shape)>,
-    out: &mut [f32],
+/// Channel concatenation over `region`: each part's channels are passed
+/// through the part's own `f` into consecutive channel offsets of the
+/// output (the float paths pass the identity, the integer executor one
+/// code → code table per part). Parts are consumed one at a time, so
+/// callers can stream them without materializing a slice of references.
+pub fn concat<'a, T: Copy + 'a, F: Fn(T) -> T>(
+    parts: impl IntoIterator<Item = (&'a [T], Shape, F)>,
+    out: &mut [T],
     out_shape: Shape,
     region: Region,
 ) {
     let y_end = region.y_end().min(out_shape.h);
     let x_end = region.x_end().min(out_shape.w);
     let mut c_off = 0;
-    for (data, s) in parts {
+    for (data, s, f) in parts {
         debug_assert_eq!(data.len(), s.len(), "part buffer disagrees with its shape");
         debug_assert!(
             s.n == out_shape.n && s.h == out_shape.h && s.w == out_shape.w,
@@ -806,7 +835,9 @@ pub fn concat<'a>(
                 for x in region.x..x_end {
                     let src = s.index(n, y, x, 0);
                     let dst = out_shape.index(n, y, x, c_off);
-                    out[dst..dst + s.c].copy_from_slice(&data[src..src + s.c]);
+                    for (o, &v) in out[dst..dst + s.c].iter_mut().zip(&data[src..src + s.c]) {
+                        *o = f(v);
+                    }
                 }
             }
         }
@@ -1328,7 +1359,7 @@ mod tests {
         let mut max_out = vec![0.0f32; 2 * 2 * 3];
         let mut avg_out = vec![0.0f32; 2 * 2 * 3];
         let region = Region::new(0, 0, 2, 2);
-        max_pool(input.data(), is, &mut max_out, 2, 2, region);
+        max_pool(input.data(), is, &mut max_out, 2, 2, region, |v| v);
         avg_pool(input.data(), is, &mut avg_out, 2, 2, region);
         let os = Shape::hwc(2, 2, 3);
         for oy in 0..2 {
@@ -1355,8 +1386,9 @@ mod tests {
         let b = Tensor::from_fn(Shape::hwc(3, 3, 1), |i| -(i as f32));
         let out_shape = Shape::hwc(3, 3, 3);
         let mut out = vec![0.0f32; out_shape.len()];
+        let id = |v: f32| v;
         concat(
-            [(a.data(), a.shape()), (b.data(), b.shape())],
+            [(a.data(), a.shape(), id), (b.data(), b.shape(), id)],
             &mut out,
             out_shape,
             out_shape.full_region(),
